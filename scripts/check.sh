@@ -14,8 +14,8 @@ ctest --test-dir build-asan --output-on-failure
 
 cmake -B build-tsan -G Ninja -DLCRQ_ENABLE_TSAN=ON -DLCRQ_ENABLE_BENCH=OFF -DLCRQ_ENABLE_EXAMPLES=OFF
 cmake --build build-tsan
-ctest --test-dir build-tsan --output-on-failure -R \
-  "test_hazard|test_ms_queue|test_two_lock|test_combining|test_kp_queue|test_counters|test_thread_id|test_bounded_and_infinite|test_scq|test_segment_pool|test_wcq"
+# The TSan-eligible suites carry the `tsan` label (tests/CMakeLists.txt).
+ctest --test-dir build-tsan --output-on-failure -L tsan
 
 # Schedule-injection build (docs/TESTING.md §5): the forced-window, kill,
 # and seeded-sweep suites need the instrumented hot paths.
@@ -23,14 +23,11 @@ cmake -B build-inject -G Ninja -DLCRQ_INJECT=ON -DLCRQ_ENABLE_BENCH=OFF -DLCRQ_E
 cmake --build build-inject
 ctest --test-dir build-inject --output-on-failure -L inject
 
-# Injection under TSan (cmpxchg16b keeps the CRQ/LCRQ binaries out; the
-# controller itself plus the CAS2-free SCQ-family suites — including the
-# segment-pool recycling windows and the blocking-facade lost-notify/drain
-# kills over an LSCQ base — are fully instrumentable).
+# Injection under TSan: the `tsan`-labelled injection suites (cmpxchg16b
+# keeps the CRQ/LCRQ binaries out).
 cmake -B build-tsan-inject -G Ninja -DLCRQ_INJECT=ON -DLCRQ_ENABLE_TSAN=ON -DLCRQ_ENABLE_BENCH=OFF -DLCRQ_ENABLE_EXAMPLES=OFF
 cmake --build build-tsan-inject
-ctest --test-dir build-tsan-inject --output-on-failure -R \
-  "test_injection_points|test_injection_scq|test_injection_pool|test_injection_wcq|test_injection_hierarchy|test_injection_blocking"
+ctest --test-dir build-tsan-inject --output-on-failure -L tsan -L inject
 
 # Hugepage fallback: force the THP-unavailable path (LCRQ_FORCE_NO_THP)
 # and re-run the suites that exercise -huge variants and the slab layer,

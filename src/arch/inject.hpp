@@ -44,10 +44,10 @@ enum class Point : std::uint8_t {
     kBulkEnqAfterFaa,      // Crq::enqueue_bulk, ticket range claimed
     kBulkDeqAfterFaa,      // Crq::dequeue_bulk, ticket range claimed
     kBulkTicketReturn,     // Crq::dequeue_bulk, before the handback CAS
-    kListEmptyObserved,    // Lcrq::dequeue[_bulk], ring reported EMPTY
-    kListAppend,           // Lcrq, fresh ring linked (append CAS succeeded)
-    kListHeadSwing,        // Lcrq, before the head-swing CAS
-    kApproxSizeWalk,       // Lcrq::sum_segments, next segment protected
+    kListEmptyObserved,    // LinkedRing::dequeue[_bulk], ring reported EMPTY
+    kListAppend,           // LinkedRing, fresh ring linked (append CAS succeeded)
+    kListHeadSwing,        // LinkedRing, before the head-swing CAS
+    kApproxSizeWalk,       // LinkedRing::sum_segments, next segment protected
     kHazardRetire,         // HazardThread::retire_impl, object handed over
     kHazardScan,           // HazardDomain::drain, reclamation pass starting
     kScqEnqAfterFaa,       // ScqRing::enqueue, ticket obtained

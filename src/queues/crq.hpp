@@ -2,7 +2,8 @@
 //
 // A bounded *tantrum queue*: a linearizable FIFO queue whose enqueue may
 // nondeterministically refuse and return CLOSED, after which every enqueue
-// returns CLOSED.  LCRQ (lcrq.hpp) links CRQs into an unbounded queue.
+// returns CLOSED.  LCRQ (lcrq.hpp, over the list layer in linked_ring.hpp)
+// links CRQs into an unbounded queue.
 //
 // State:
 //   head, tail : 64-bit monotone indices; index i addresses ring node
@@ -91,6 +92,8 @@ template <class Faa = HardwareFaa, bool Padded = true>
 class Crq {
   public:
     static constexpr const char* kName = "crq";
+    static constexpr const char* kListName = "lcrq";  // LinkedRing over CRQs
+    using FaaPolicy = Faa;
     using Node = detail::CrqNode<Padded>;
 
     // Construct an empty CRQ of 2^opt.ring_order nodes, optionally seeded
@@ -341,7 +344,7 @@ class Crq {
         return n < size_ ? n : size_;
     }
 
-    // Intrusive link and cluster tag used by Lcrq; unused standalone.
+    // Intrusive link and cluster tag used by LinkedRing; unused standalone.
     std::atomic<Crq*> next{nullptr};
     std::atomic<int> cluster{0};
 

@@ -1,447 +1,35 @@
 // LCRQ — linked list of CRQs (paper §4.2, Figure 5, corrected version).
 //
 // The unbounded queue is a Michael–Scott list whose nodes are whole CRQ
-// rings.  Nearly all activity happens inside one ring; the list head/tail
-// pointers only move when a ring closes (enqueue side) or drains (dequeue
-// side), so they are uncontended in the common case.
+// rings (the list layer itself, shared with LSCQ and LwCQ, is
+// linked_ring.hpp).  Nearly all activity happens inside one ring; the
+// list head/tail pointers only move when a ring closes (enqueue side) or
+// drains (dequeue side), so they are uncontended in the common case.  A
+// CRQ is a tantrum queue: it closes itself when full or starving, so the
+// list layer never sees kFull from it.
 //
-//   enqueue: work in the tail CRQ; on CLOSED, append a new CRQ seeded with
-//            the item (one appender wins and is done; the rest retry in
-//            the new tail).
-//   dequeue: work in the head CRQ; on EMPTY with a successor present, try
-//            the CRQ once more (the corrected Fig. 5 lines 146-147 — an
-//            item may have landed between the EMPTY and the next check),
-//            then swing head and retire the drained ring.
-//
-// Retired CRQs are reclaimed with hazard pointers: an operation protects
-// the CRQ pointer it read from head/tail before entering it (§4.2).  The
-// paper's footnote 6 notes every variant pays this publish-fence-reread
-// cost; the Protected=false specialization removes it (and with it all
-// reclamation until destruction) so the ablation bench can price it.
-//
-// Ring segments are recycled through a bounded per-queue pool
-// (segment_pool.hpp): appenders allocate from it, losing appenders park
-// their speculative ring in it, and drained rings return to it through the
-// hazard path with a retire-to-pool deleter — the scan proves no thread
-// still holds the pointer, which keeps the head/tail CASes ABA-safe across
-// reuse.  Pooled=false is the ablation (every close pays malloc/free).
-//
-// Template parameters select the paper's evaluated variants:
-//   Lcrq<HardwareFaa, NoHierarchy>      — LCRQ
-//   Lcrq<CasLoopFaa,  NoHierarchy>      — LCRQ-CAS
-//   Lcrq<HardwareFaa, ClusterHierarchy> — LCRQ-H (the paper's LCRQ+H)
+// The aliases select the paper's evaluated variants — LCRQ, LCRQ-CAS (F&A
+// emulated by a CAS loop) and LCRQ-H (the paper's LCRQ+H) — and the
+// ablations.
 #pragma once
 
-#include <atomic>
-#include <cassert>
-#include <cstddef>
-#include <memory>
-#include <optional>
-#include <span>
-
 #include "arch/faa_policy.hpp"
-#include "arch/inject.hpp"
-#include "arch/thread_id.hpp"
-#include "hazard/hazard_pointers.hpp"
 #include "queues/crq.hpp"
 #include "queues/hierarchy.hpp"
-#include "queues/queue_common.hpp"
-#include "queues/segment_pool.hpp"
+#include "queues/linked_ring.hpp"
 
 namespace lcrq {
 
-template <class Faa = HardwareFaa, class Hierarchy = NoHierarchy, bool Padded = true,
-          bool Protected = true, bool Pooled = true>
-class Lcrq {
-  public:
-    static constexpr const char* kName = "lcrq";
-    using CrqT = Crq<Faa, Padded>;
-
-    explicit Lcrq(const QueueOptions& opt = {})
-        : opt_(opt),
-          hierarchy_(opt.cluster_timeout_ns, opt.cluster_proceed_on_timeout),
-          pool_(Pooled ? opt.segment_pool_cap : 0) {
-        auto* q = alloc_ring();
-        first_ = q;
-        head_->store(q, std::memory_order_relaxed);
-        tail_->store(q, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-    }
-
-    ~Lcrq() {
-        // Single-threaded at destruction.  With hazard protection, rings
-        // behind head were retired into the domain (freed when the domain
-        // member is destroyed) and the live suffix is deleted here;
-        // without protection nothing was ever freed, so the walk starts at
-        // the very first ring.
-        CrqT* q = Protected ? head_->load(std::memory_order_relaxed) : first_;
-        while (q != nullptr) {
-            CrqT* next = q->next.load(std::memory_order_relaxed);
-            delete q;
-            q = next;
-        }
-    }
-
-    Lcrq(const Lcrq&) = delete;
-    Lcrq& operator=(const Lcrq&) = delete;
-
-    void enqueue(value_t x) {
-        [[maybe_unused]] const bool ok = try_enqueue(x);
-        assert(ok && "enqueue on a closed queue; use try_enqueue for shutdown");
-    }
-
-    // Enqueue unless the queue has been close()d.  Identical to enqueue()
-    // on an open queue; returns false (dropping nothing) after close().
-    bool try_enqueue(value_t x) {
-        // Checked up front so that an enqueue *starting* after close()
-        // returns can never succeed, even if an in-flight appender slips a
-        // fresh open ring in behind the close.  One read-shared cache line
-        // per operation; in-flight enqueues concurrent with close() may
-        // still complete, which linearizes them before the close.
-        if (closed_.load(std::memory_order_acquire)) return false;
-        for (;;) {
-            CrqT* crq = acquire(*tail_);
-            if (CrqT* next = crq->next.load(std::memory_order_acquire)) {
-                // Tail lags behind an appended ring: help swing it.
-                counted_cas_ptr(*tail_, crq, next);
-                continue;
-            }
-            hierarchy_.enter(*crq);
-            if (crq->enqueue(x) == EnqueueResult::kOk) {
-                release();
-                return true;
-            }
-            // Ring closed (tantrum): append a new CRQ seeded with x.
-            auto* fresh = alloc_ring(x);
-            CrqT* expected = nullptr;
-            stats::count(stats::Event::kCas);
-            if (crq->next.compare_exchange_strong(expected, fresh,
-                                                  std::memory_order_seq_cst)) {
-                LCRQ_INJECT_POINT(kListAppend);
-                counted_cas_ptr(*tail_, crq, fresh);
-                stats::count(stats::Event::kCrqAppend);
-                release();
-                return true;
-            }
-            stats::count(stats::Event::kCasFailure);
-            discard_ring(fresh);  // another appender won; retry in the new tail
-        }
-    }
-
-    // Batched enqueue: every item lands, in order, with one hazard
-    // acquisition and (in the common case) one F&A per batch instead of
-    // one per item.  A batch that hits a CLOSED ring spills its remainder
-    // across the close: the appender seeds the fresh ring with the next
-    // item (as in try_enqueue) and continues the batch there.
-    void enqueue_bulk(std::span<const value_t> items) {
-        [[maybe_unused]] const bool ok = try_enqueue_bulk(items);
-        assert(ok && "enqueue_bulk on a closed queue");
-    }
-
-    // Bulk form of try_enqueue.  The closed flag is checked once, up
-    // front: a batch is one operation for shutdown purposes — either it
-    // started before close() returned (and then every item lands, exactly
-    // like an in-flight single enqueue) or it fails whole.  Returns false
-    // (enqueueing nothing) only in the latter case.
-    bool try_enqueue_bulk(std::span<const value_t> items) {
-        if (items.empty()) return true;
-        if (closed_.load(std::memory_order_acquire)) return false;
-        std::size_t done = 0;
-        for (;;) {
-            CrqT* crq = acquire(*tail_);
-            if (CrqT* next = crq->next.load(std::memory_order_acquire)) {
-                counted_cas_ptr(*tail_, crq, next);
-                continue;
-            }
-            hierarchy_.enter(*crq);
-            done += crq->enqueue_bulk(items.subspan(done));
-            if (done == items.size()) {
-                release();
-                return true;
-            }
-            // Ring closed mid-batch: append a fresh CRQ seeded with the
-            // next item and continue the batch in it.
-            auto* fresh = alloc_ring(items[done]);
-            CrqT* expected = nullptr;
-            stats::count(stats::Event::kCas);
-            if (crq->next.compare_exchange_strong(expected, fresh,
-                                                  std::memory_order_seq_cst)) {
-                LCRQ_INJECT_POINT(kListAppend);
-                counted_cas_ptr(*tail_, crq, fresh);
-                stats::count(stats::Event::kCrqAppend);
-                if (++done == items.size()) {
-                    release();
-                    return true;
-                }
-            } else {
-                stats::count(stats::Event::kCasFailure);
-                discard_ring(fresh);  // another appender won; retry there
-            }
-        }
-    }
-
-    // Graceful shutdown: no enqueue that starts after close() returns can
-    // succeed; items already in the queue remain dequeueable (drain, then
-    // dequeue() keeps returning nullopt).  Implemented by closing the tail
-    // ring under a sticky flag that stops fresh rings from being appended,
-    // so the tantrum-queue close mechanism doubles as the shutdown path.
-    void close() {
-        closed_.store(true, std::memory_order_seq_cst);
-        for (;;) {
-            CrqT* crq = acquire(*tail_);
-            if (CrqT* next = crq->next.load(std::memory_order_acquire)) {
-                counted_cas_ptr(*tail_, crq, next);
-                continue;
-            }
-            crq->close();
-            release();
-            return;
-        }
-    }
-
-    bool closed() const noexcept { return closed_.load(std::memory_order_acquire); }
-
-    std::optional<value_t> dequeue() {
-        for (;;) {
-            CrqT* crq = acquire(*head_);
-            hierarchy_.enter(*crq);
-            if (auto v = crq->dequeue()) {
-                release();
-                return v;
-            }
-            LCRQ_INJECT_POINT(kListEmptyObserved);
-            if (crq->next.load(std::memory_order_acquire) == nullptr) {
-                release();
-                return std::nullopt;
-            }
-            // A successor exists, so this ring takes no more enqueues — but
-            // an enqueue may have completed in it between our EMPTY and the
-            // next check above.  Without this second attempt items are
-            // lost (the proceedings-version bug).
-            if (auto v = crq->dequeue()) {
-                release();
-                return v;
-            }
-            CrqT* next = crq->next.load(std::memory_order_acquire);
-            LCRQ_INJECT_POINT(kListHeadSwing);
-            if (counted_cas_ptr(*head_, crq, next)) {
-                release();
-                if constexpr (Protected) {
-                    retire_ring(crq);
-                }
-                // Unprotected: the drained ring stays linked from first_
-                // and is freed by the destructor.
-            }
-        }
-    }
-
-    // Batched dequeue: up to `max` items into `out`, returning the count;
-    // 0 means the queue was observed empty.  One hazard acquisition per
-    // ring visited (not per item) and one F&A per claim round.  A batch
-    // whose current ring reports empty follows the exact single-op ring-
-    // switch protocol — second attempt (the corrected Fig. 5 retry), then
-    // swing head and retire — and continues filling from the successor.
-    std::size_t dequeue_bulk(value_t* out, std::size_t max) {
-        if (max == 0) return 0;
-        std::size_t n = 0;
-        for (;;) {
-            CrqT* crq = acquire(*head_);
-            hierarchy_.enter(*crq);
-            n += crq->dequeue_bulk(out + n, max - n);
-            if (n == max) break;
-            // The ring reported empty (Crq::dequeue_bulk returns short
-            // only on an empty observation).
-            LCRQ_INJECT_POINT(kListEmptyObserved);
-            if (crq->next.load(std::memory_order_acquire) == nullptr) break;
-            n += crq->dequeue_bulk(out + n, max - n);
-            if (n == max) break;
-            CrqT* next = crq->next.load(std::memory_order_acquire);
-            LCRQ_INJECT_POINT(kListHeadSwing);
-            if (counted_cas_ptr(*head_, crq, next)) {
-                release();
-                if constexpr (Protected) {
-                    retire_ring(crq);
-                }
-            }
-        }
-        release();
-        return n;
-    }
-
-    // Introspection for tests, benches, and monitoring.  In the protected
-    // configuration both walks take hazard slots, so they are safe
-    // concurrent with dequeue-driven ring retirement; unprotected builds
-    // keep the plain walk (nothing is reclaimed before destruction there).
-    std::size_t segment_count() {
-        return static_cast<std::size_t>(
-            sum_segments([](CrqT&) { return std::uint64_t{1}; }));
-    }
-
-    // Item-count estimate: the sum of the live segments' estimates.  Only
-    // a snapshot under concurrency (see Crq::approx_size), and closed
-    // segments being drained can each over-count by the enqueue tickets
-    // wasted there before they closed.
-    std::uint64_t approx_size() {
-        return sum_segments([](CrqT& q) { return q.approx_size(); });
-    }
-    HazardDomain& hazard_domain() noexcept { return domain_; }
-    SegmentPool<CrqT>& segment_pool() noexcept { return pool_; }
-    static std::string variant_name() {
-        return std::string("lcrq") + Hierarchy::suffix() +
-               (std::string(Faa::name()) == "cas-loop" ? "-cas" : "") +
-               (Protected ? "" : "-noreclaim") + (Pooled ? "" : "-nopool");
-    }
-
-  private:
-    // Fresh ring for construction or append: recycled from the pool when
-    // possible, allocated otherwise.  The reset happens under exclusive
-    // ownership; the appending CAS publishes it.
-    CrqT* alloc_ring(std::optional<value_t> first = std::nullopt) {
-        if constexpr (Pooled) {
-            if (CrqT* q = pool_.try_pop()) {
-                q->reset(opt_, first);
-                stats::count(stats::Event::kSegmentReuse);
-                return q;
-            }
-        }
-        stats::count(stats::Event::kSegmentAlloc);
-        return check_alloc(new (std::nothrow) CrqT(opt_, first));
-    }
-
-    // A speculative ring another appender beat us to installing: never
-    // published, so it can go straight back to the pool.
-    void discard_ring(CrqT* fresh) {
-        if constexpr (Pooled) {
-            pool_.push(fresh);
-        } else {
-            delete fresh;
-        }
-    }
-
-    // A drained ring head_ swung past: concurrent operations may still
-    // hold it, so it must cross a hazard scan before the pool may hand it
-    // out again.  The eager drain is what makes recycling effective — at
-    // the amortized threshold (~2*kSlots*records retirements) a segment
-    // would sit parked on the record for dozens of closes first; draining
-    // here costs one O(records) scan per ring close, amortized against the
-    // O(R) ring reset the recycle saves.
-    void retire_ring(CrqT* crq) {
-        if constexpr (Pooled) {
-            HazardThread& hp = my_hazard();
-            hp.retire_impl(crq, &retire_to_pool, &pool_);
-            hp.drain_now();
-        } else {
-            my_hazard().retire(crq);
-        }
-    }
-
-    static void retire_to_pool(void* p, void* ctx) {
-        static_cast<SegmentPool<CrqT>*>(ctx)->push(static_cast<CrqT*>(p));
-    }
-
-    // Read a list pointer for use: publish-fence-reread under hazard
-    // protection (slot 0), or a plain acquire load in the unprotected
-    // (leak-until-destruction) specialization.
-    CrqT* acquire(const std::atomic<CrqT*>& src) {
-        if constexpr (Protected) {
-            return my_hazard().protect(src, 0);
-        } else {
-            return src.load(std::memory_order_acquire);
-        }
-    }
-    void release() {
-        if constexpr (Protected) my_hazard().clear(0);
-    }
-
-    // Sum fn(segment) over the live list.  Operations use hazard slot 0;
-    // this walk uses slots 1-3 so it can run concurrently with them from
-    // the same thread's record.
-    //
-    // Safety of the protected walk: segments are retired strictly front to
-    // back, and only after head_ swings past them.  Each step publishes
-    // the next pointer into a spare slot and then revalidates that head_
-    // still equals the anchor read at the start of the attempt.  If it
-    // does, no segment at or behind the anchor has been retired yet — in
-    // particular the just-published one — and (seq_cst publish before the
-    // revalidating load, which precedes the retiring head-swing in the
-    // total order) any future scan must see our slot, so the segment stays
-    // live while we hold it.  If head_ moved, the chain may be stale: the
-    // attempt restarts from the new head.
-    template <typename Fn>
-    std::uint64_t sum_segments(Fn&& fn) {
-        if constexpr (!Protected) {
-            std::uint64_t n = 0;
-            for (CrqT* q = head_->load(std::memory_order_acquire); q != nullptr;
-                 q = q->next.load(std::memory_order_acquire)) {
-                n += fn(*q);
-            }
-            return n;
-        } else {
-            HazardThread& hp = my_hazard();
-            for (;;) {
-                std::uint64_t n = 0;
-                CrqT* const anchor = hp.protect(*head_, 1);
-                CrqT* cur = anchor;
-                std::size_t slot = 2;
-                bool restart = false;
-                for (;;) {
-                    n += fn(*cur);
-                    if (cur->next.load(std::memory_order_acquire) == nullptr) break;
-                    CrqT* next = hp.protect(cur->next, slot);
-                    if (next == nullptr) break;
-                    LCRQ_INJECT_POINT(kApproxSizeWalk);
-                    if (head_->load(std::memory_order_seq_cst) != anchor) {
-                        restart = true;
-                        break;
-                    }
-                    cur = next;
-                    slot = (slot == 2) ? 3 : 2;
-                }
-                hp.clear(1);
-                hp.clear(2);
-                hp.clear(3);
-                if (!restart) return n;
-            }
-        }
-    }
-
-    HazardThread& my_hazard() {
-        const std::size_t id = thread_index();
-        auto& slot = hazard_threads_[id];
-        if (slot == nullptr) {
-            slot = std::make_unique<HazardThread>(domain_);
-        }
-        return *slot;
-    }
-
-    QueueOptions opt_;
-    Hierarchy hierarchy_;
-    // Declared before domain_: retire-to-pool deleters run from hazard
-    // drains as late as ~HazardDomain (and the per-thread record releases
-    // in hazard_threads_'s destructors), all of which must find the pool
-    // alive.  Members destroy in reverse order, so the pool outlives both.
-    SegmentPool<CrqT> pool_;
-    HazardDomain domain_;
-    CrqT* first_ = nullptr;  // construction-time ring; anchors ~Lcrq when unprotected
-    // Shutdown flag: read-shared on the enqueue path, written once.
-    std::atomic<bool> closed_{false};
-    CacheAligned<std::atomic<CrqT*>, kDestructivePairSize> head_{nullptr};
-    CacheAligned<std::atomic<CrqT*>, kDestructivePairSize> tail_{nullptr};
-    // Lazily constructed per-thread hazard attachments, indexed by the
-    // dense thread id; a slot is only touched by the thread owning that id.
-    std::unique_ptr<HazardThread> hazard_threads_[kMaxThreads];
-};
-
 // The paper's evaluated variants.
-using LcrqQueue = Lcrq<HardwareFaa, NoHierarchy>;
-using LcrqCasQueue = Lcrq<CasLoopFaa, NoHierarchy>;
-using LcrqHQueue = Lcrq<HardwareFaa, ClusterHierarchy>;
+using LcrqQueue = LinkedRing<Crq<HardwareFaa>>;
+using LcrqCasQueue = LinkedRing<Crq<CasLoopFaa>>;
+using LcrqHQueue = LinkedRing<Crq<HardwareFaa>, ClusterHierarchy>;
 // Ablations: nodes packed 4-per-cache-line; no hazard protection (prices
 // the paper's footnote-6 overhead, leaks rings until destruction).
-using LcrqCompactQueue = Lcrq<HardwareFaa, NoHierarchy, false>;
-using LcrqNoReclaimQueue = Lcrq<HardwareFaa, NoHierarchy, true, false>;
+using LcrqCompactQueue = LinkedRing<Crq<HardwareFaa, false>>;
+using LcrqNoReclaimQueue = LinkedRing<Crq<HardwareFaa>, NoHierarchy, false>;
 // No segment pool: every ring close pays the allocator (the pre-pool
 // behaviour, kept as the ablation bench's baseline).
-using LcrqNoPoolQueue = Lcrq<HardwareFaa, NoHierarchy, true, true, false>;
+using LcrqNoPoolQueue = LinkedRing<Crq<HardwareFaa>, NoHierarchy, true, false>;
 
 }  // namespace lcrq

@@ -1,380 +1,35 @@
 // LSCQ — linked list of SCQs (Nikolaev, DISC'19 §5; see PAPERS.md).
 //
 // The unbounded queue over the SCQ segment backend, shaped exactly like
-// LCRQ over CRQ: a Michael–Scott list whose nodes are whole bounded
-// queues, with nearly all activity inside one segment and the list
-// pointers moving only when a segment fills (enqueue side) or drains
-// (dequeue side).
+// LCRQ over CRQ — the same list layer (linked_ring.hpp): a Michael–Scott
+// list whose nodes are whole bounded queues, with nearly all activity
+// inside one segment and the list pointers moving only when a segment
+// fills (enqueue side) or drains (dequeue side).
 //
-//   enqueue: work in the tail SCQ; on FULL, close the segment (this is
-//            where CRQ would tantrum — SCQ never closes itself) and append
-//            a new SCQ seeded with the item; on CLOSED, append likewise.
-//   dequeue: work in the head SCQ; on EMPTY with a successor present, try
-//            once more (the same corrected-LCRQ retry — an item may have
-//            landed between the EMPTY and the next check), then swing head
-//            and retire the drained segment.
+// The one protocol difference: SCQ never closes itself, so on FULL the
+// list layer closes the segment (where CRQ would tantrum) and appends a
+// new one seeded with the item.
 //
-// Retired segments are reclaimed with the same hazard-pointer scheme as
-// LCRQ, and recycled through the same bounded segment pool
-// (segment_pool.hpp; Pooled=false is the malloc-per-close ablation).
 // Unlike LCRQ, no operation in here or in the segments uses CAS2 — every
 // RMW is on a single 64-bit word, which is the point of carrying a second
-// backend: identical harness, portable primitives (the pool preserves
-// this: its pop is an exchange, not a tagged CAS).
+// backend: identical harness, portable primitives (the segment pool
+// preserves this: its pop is an exchange, not a tagged CAS).
 #pragma once
 
-#include <atomic>
-#include <cassert>
-#include <cstddef>
-#include <memory>
-#include <optional>
-#include <span>
-#include <string>
-
-#include "arch/cacheline.hpp"
 #include "arch/faa_policy.hpp"
-#include "arch/inject.hpp"
-#include "arch/thread_id.hpp"
-#include "hazard/hazard_pointers.hpp"
 #include "queues/hierarchy.hpp"
-#include "queues/queue_common.hpp"
+#include "queues/linked_ring.hpp"
 #include "queues/scq.hpp"
-#include "queues/segment_pool.hpp"
 
 namespace lcrq {
 
-template <class Faa = HardwareFaa, class Hierarchy = NoHierarchy,
-          bool Protected = true, bool Pooled = true>
-class Lscq {
-  public:
-    static constexpr const char* kName = "lscq";
-    using ScqT = Scq<Faa>;
-
-    explicit Lscq(const QueueOptions& opt = {})
-        : opt_(opt),
-          hierarchy_(opt.cluster_timeout_ns, opt.cluster_proceed_on_timeout),
-          pool_(Pooled ? opt.segment_pool_cap : 0) {
-        auto* q = alloc_segment();
-        first_ = q;
-        head_->store(q, std::memory_order_relaxed);
-        tail_->store(q, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-    }
-
-    ~Lscq() {
-        // Single-threaded at destruction; see ~Lcrq for the walk rationale.
-        ScqT* q = Protected ? head_->load(std::memory_order_relaxed) : first_;
-        while (q != nullptr) {
-            ScqT* next = q->next.load(std::memory_order_relaxed);
-            delete q;
-            q = next;
-        }
-    }
-
-    Lscq(const Lscq&) = delete;
-    Lscq& operator=(const Lscq&) = delete;
-
-    void enqueue(value_t x) {
-        [[maybe_unused]] const bool ok = try_enqueue(x);
-        assert(ok && "enqueue on a closed queue; use try_enqueue for shutdown");
-    }
-
-    // Enqueue unless the queue has been close()d (same shutdown contract as
-    // Lcrq::try_enqueue; the up-front check makes close() a barrier).
-    bool try_enqueue(value_t x) {
-        if (closed_.load(std::memory_order_acquire)) return false;
-        for (;;) {
-            ScqT* scq = acquire(*tail_);
-            if (ScqT* next = scq->next.load(std::memory_order_acquire)) {
-                // Tail lags behind an appended segment: help swing it.
-                counted_cas_ptr(*tail_, scq, next);
-                continue;
-            }
-            hierarchy_.enter(*scq);
-            const ScqPutResult r = scq->try_enqueue(x);
-            if (r == ScqPutResult::kOk) {
-                release();
-                return true;
-            }
-            // Segment full or closed.  A full segment is closed here — the
-            // list layer supplies the tantrum CRQ performs internally — so
-            // every enqueuer diverts to the fresh segment.
-            if (r == ScqPutResult::kFull) scq->close();
-            auto* fresh = alloc_segment(x);
-            ScqT* expected = nullptr;
-            stats::count(stats::Event::kCas);
-            if (scq->next.compare_exchange_strong(expected, fresh,
-                                                  std::memory_order_seq_cst)) {
-                LCRQ_INJECT_POINT(kListAppend);
-                counted_cas_ptr(*tail_, scq, fresh);
-                stats::count(stats::Event::kCrqAppend);
-                release();
-                return true;
-            }
-            stats::count(stats::Event::kCasFailure);
-            discard_segment(fresh);  // another appender won; retry there
-        }
-    }
-
-    void enqueue_bulk(std::span<const value_t> items) {
-        [[maybe_unused]] const bool ok = try_enqueue_bulk(items);
-        assert(ok && "enqueue_bulk on a closed queue");
-    }
-
-    // Bulk form of try_enqueue; one closed-flag check per batch, remainder
-    // spilled across segment boundaries (cf. Lcrq::try_enqueue_bulk).
-    bool try_enqueue_bulk(std::span<const value_t> items) {
-        if (items.empty()) return true;
-        if (closed_.load(std::memory_order_acquire)) return false;
-        std::size_t done = 0;
-        for (;;) {
-            ScqT* scq = acquire(*tail_);
-            if (ScqT* next = scq->next.load(std::memory_order_acquire)) {
-                counted_cas_ptr(*tail_, scq, next);
-                continue;
-            }
-            hierarchy_.enter(*scq);
-            const auto r = scq->try_enqueue_bulk(items.subspan(done));
-            done += r.done;
-            if (done == items.size()) {
-                release();
-                return true;
-            }
-            if (r.status == ScqPutResult::kFull) scq->close();
-            auto* fresh = alloc_segment(items[done]);
-            ScqT* expected = nullptr;
-            stats::count(stats::Event::kCas);
-            if (scq->next.compare_exchange_strong(expected, fresh,
-                                                  std::memory_order_seq_cst)) {
-                LCRQ_INJECT_POINT(kListAppend);
-                counted_cas_ptr(*tail_, scq, fresh);
-                stats::count(stats::Event::kCrqAppend);
-                if (++done == items.size()) {
-                    release();
-                    return true;
-                }
-            } else {
-                stats::count(stats::Event::kCasFailure);
-                discard_segment(fresh);  // another appender won; retry there
-            }
-        }
-    }
-
-    // Graceful shutdown, as in Lcrq::close: sticky flag, then close the
-    // tail segment so no fresh segment can carry late enqueues.
-    void close() {
-        closed_.store(true, std::memory_order_seq_cst);
-        for (;;) {
-            ScqT* scq = acquire(*tail_);
-            if (ScqT* next = scq->next.load(std::memory_order_acquire)) {
-                counted_cas_ptr(*tail_, scq, next);
-                continue;
-            }
-            scq->close();
-            release();
-            return;
-        }
-    }
-
-    bool closed() const noexcept { return closed_.load(std::memory_order_acquire); }
-
-    std::optional<value_t> dequeue() {
-        for (;;) {
-            ScqT* scq = acquire(*head_);
-            hierarchy_.enter(*scq);
-            if (auto v = scq->dequeue()) {
-                release();
-                return v;
-            }
-            LCRQ_INJECT_POINT(kListEmptyObserved);
-            if (scq->next.load(std::memory_order_acquire) == nullptr) {
-                release();
-                return std::nullopt;
-            }
-            // Successor present: this segment takes no more enqueues, but
-            // one may have completed between our EMPTY and the check above;
-            // without the second attempt items are lost (the same race the
-            // corrected LCRQ Fig. 5 retry covers).
-            if (auto v = scq->dequeue()) {
-                release();
-                return v;
-            }
-            ScqT* next = scq->next.load(std::memory_order_acquire);
-            LCRQ_INJECT_POINT(kListHeadSwing);
-            if (counted_cas_ptr(*head_, scq, next)) {
-                release();
-                if constexpr (Protected) {
-                    retire_segment(scq);
-                }
-                // Unprotected: the drained segment stays linked from
-                // first_ and is freed by the destructor.
-            }
-        }
-    }
-
-    // Batched dequeue (contract and segment-switch protocol of
-    // Lcrq::dequeue_bulk: 0 means EMPTY, short only on empty observation).
-    std::size_t dequeue_bulk(value_t* out, std::size_t max) {
-        if (max == 0) return 0;
-        std::size_t n = 0;
-        for (;;) {
-            ScqT* scq = acquire(*head_);
-            hierarchy_.enter(*scq);
-            n += scq->dequeue_bulk(out + n, max - n);
-            if (n == max) break;
-            LCRQ_INJECT_POINT(kListEmptyObserved);
-            if (scq->next.load(std::memory_order_acquire) == nullptr) break;
-            n += scq->dequeue_bulk(out + n, max - n);
-            if (n == max) break;
-            ScqT* next = scq->next.load(std::memory_order_acquire);
-            LCRQ_INJECT_POINT(kListHeadSwing);
-            if (counted_cas_ptr(*head_, scq, next)) {
-                release();
-                if constexpr (Protected) {
-                    retire_segment(scq);
-                }
-            }
-        }
-        release();
-        return n;
-    }
-
-    std::size_t segment_count() {
-        return static_cast<std::size_t>(
-            sum_segments([](ScqT&) { return std::uint64_t{1}; }));
-    }
-
-    std::uint64_t approx_size() {
-        return sum_segments([](ScqT& q) { return q.approx_size(); });
-    }
-    HazardDomain& hazard_domain() noexcept { return domain_; }
-    SegmentPool<ScqT>& segment_pool() noexcept { return pool_; }
-    static std::string variant_name() {
-        return std::string("lscq") + Hierarchy::suffix() +
-               (std::string(Faa::name()) == "cas-loop" ? "-cas" : "") +
-               (Protected ? "" : "-noreclaim") + (Pooled ? "" : "-nopool");
-    }
-
-  private:
-    // Recycled-or-fresh segment; see Lcrq::alloc_ring.
-    ScqT* alloc_segment(std::optional<value_t> first = std::nullopt) {
-        if constexpr (Pooled) {
-            if (ScqT* q = pool_.try_pop()) {
-                q->reset(opt_.ring_order, first);
-                stats::count(stats::Event::kSegmentReuse);
-                return q;
-            }
-        }
-        stats::count(stats::Event::kSegmentAlloc);
-        return check_alloc(
-            new (std::nothrow) ScqT(opt_.ring_order, first, opt_.huge_segments));
-    }
-
-    // Loser appender's unpublished segment; see Lcrq::discard_ring.
-    void discard_segment(ScqT* fresh) {
-        if constexpr (Pooled) {
-            pool_.push(fresh);
-        } else {
-            delete fresh;
-        }
-    }
-
-    // Drained segment, possibly still held by concurrent operations; see
-    // Lcrq::retire_ring for why the pooled path drains eagerly.
-    void retire_segment(ScqT* scq) {
-        if constexpr (Pooled) {
-            HazardThread& hp = my_hazard();
-            hp.retire_impl(scq, &retire_to_pool, &pool_);
-            hp.drain_now();
-        } else {
-            my_hazard().retire(scq);
-        }
-    }
-
-    static void retire_to_pool(void* p, void* ctx) {
-        static_cast<SegmentPool<ScqT>*>(ctx)->push(static_cast<ScqT*>(p));
-    }
-
-    ScqT* acquire(const std::atomic<ScqT*>& src) {
-        if constexpr (Protected) {
-            return my_hazard().protect(src, 0);
-        } else {
-            return src.load(std::memory_order_acquire);
-        }
-    }
-    void release() {
-        if constexpr (Protected) my_hazard().clear(0);
-    }
-
-    // Safety argument identical to Lcrq::sum_segments: anchor + spare-slot
-    // publish + head revalidation, restart when head moved.
-    template <typename Fn>
-    std::uint64_t sum_segments(Fn&& fn) {
-        if constexpr (!Protected) {
-            std::uint64_t n = 0;
-            for (ScqT* q = head_->load(std::memory_order_acquire); q != nullptr;
-                 q = q->next.load(std::memory_order_acquire)) {
-                n += fn(*q);
-            }
-            return n;
-        } else {
-            HazardThread& hp = my_hazard();
-            for (;;) {
-                std::uint64_t n = 0;
-                ScqT* const anchor = hp.protect(*head_, 1);
-                ScqT* cur = anchor;
-                std::size_t slot = 2;
-                bool restart = false;
-                for (;;) {
-                    n += fn(*cur);
-                    if (cur->next.load(std::memory_order_acquire) == nullptr) break;
-                    ScqT* next = hp.protect(cur->next, slot);
-                    if (next == nullptr) break;
-                    LCRQ_INJECT_POINT(kApproxSizeWalk);
-                    if (head_->load(std::memory_order_seq_cst) != anchor) {
-                        restart = true;
-                        break;
-                    }
-                    cur = next;
-                    slot = (slot == 2) ? 3 : 2;
-                }
-                hp.clear(1);
-                hp.clear(2);
-                hp.clear(3);
-                if (!restart) return n;
-            }
-        }
-    }
-
-    HazardThread& my_hazard() {
-        const std::size_t id = thread_index();
-        auto& slot = hazard_threads_[id];
-        if (slot == nullptr) {
-            slot = std::make_unique<HazardThread>(domain_);
-        }
-        return *slot;
-    }
-
-    QueueOptions opt_;
-    Hierarchy hierarchy_;
-    // Before domain_ so the pool outlives every hazard drain that can run
-    // the retire-to-pool deleter (see Lcrq's member-order note).
-    SegmentPool<ScqT> pool_;
-    HazardDomain domain_;
-    ScqT* first_ = nullptr;  // construction-time segment; anchors ~Lscq when unprotected
-    std::atomic<bool> closed_{false};
-    CacheAligned<std::atomic<ScqT*>, kDestructivePairSize> head_{nullptr};
-    CacheAligned<std::atomic<ScqT*>, kDestructivePairSize> tail_{nullptr};
-    std::unique_ptr<HazardThread> hazard_threads_[kMaxThreads];
-};
-
-using LscqQueue = Lscq<HardwareFaa>;
-using LscqCasQueue = Lscq<CasLoopFaa>;
+using LscqQueue = LinkedRing<Scq<HardwareFaa>>;
+using LscqCasQueue = LinkedRing<Scq<CasLoopFaa>>;
 // LSCQ-H: the §4.1.1 cluster handoff over the SCQ segment backend — the
 // hierarchical variant that stays CAS2-free (the tag CAS is single-word).
-using LscqHQueue = Lscq<HardwareFaa, ClusterHierarchy>;
-using LscqNoReclaimQueue = Lscq<HardwareFaa, NoHierarchy, false>;
+using LscqHQueue = LinkedRing<Scq<HardwareFaa>, ClusterHierarchy>;
+using LscqNoReclaimQueue = LinkedRing<Scq<HardwareFaa>, NoHierarchy, false>;
 // Malloc-per-close ablation (cf. LcrqNoPoolQueue).
-using LscqNoPoolQueue = Lscq<HardwareFaa, NoHierarchy, true, false>;
+using LscqNoPoolQueue = LinkedRing<Scq<HardwareFaa>, NoHierarchy, true, false>;
 
 }  // namespace lcrq

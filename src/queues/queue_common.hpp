@@ -38,10 +38,13 @@ constexpr bool is_enqueueable(value_t v) noexcept { return v <= kMaxValue; }
 // the dTLB entries it saves.
 inline constexpr unsigned kHugeMinRingOrder = 14;
 
-// Result of an enqueue into a *tantrum* segment (CRQ, SCQ): the ring may
-// refuse and return kClosed, after which every enqueue on it returns
-// kClosed and the list layer (LCRQ/LSCQ) appends a fresh segment.
-enum class EnqueueResult { kOk, kClosed };
+// Result of an enqueue into a ring segment (CRQ, SCQ, wCQ).  A *tantrum*
+// segment may refuse and return kClosed, after which every enqueue on it
+// returns kClosed and the list layer (linked_ring.hpp) appends a fresh
+// segment.  kFull means the segment is open but every slot is in flight
+// (SCQ/wCQ backpressure); the list layer closes it and appends likewise.
+// CRQ never returns kFull: a full CRQ closes itself.
+enum class EnqueueResult { kOk, kClosed, kFull };
 
 // The duck-typed interface all queues implement.
 template <typename Q>

@@ -26,8 +26,9 @@
 // from fq (capacity n) and LSCQ closes a full segment instead of spinning.
 //
 // Tantrum behaviour: ScqRing never closes itself (a closed fq would brick
-// the standalone queue); close() is explicit, and LSCQ (lscq.hpp) closes a
-// segment's aq when fq reports full, exactly where CRQ would tantrum.
+// the standalone queue); close() is explicit, and the list layer
+// (linked_ring.hpp) closes a segment's aq when fq reports full, exactly
+// where CRQ would tantrum.
 #pragma once
 
 #include <algorithm>
@@ -451,10 +452,10 @@ class ScqRing {
     CacheAligned<std::atomic<std::int64_t>, kDestructivePairSize> threshold_{0};
 };
 
-// Outcome of Scq::try_enqueue: kFull means every slot index is in flight
+// Outcome of Scq::enqueue: kFull means every slot index is in flight
 // (bounded-queue backpressure); kClosed means the allocated queue was
 // closed (only LSCQ does this) and the slot went back to the free list.
-enum class ScqPutResult { kOk, kFull, kClosed };
+using ScqPutResult = EnqueueResult;
 
 // Per-round scratch size for the value-queue bulk paths.
 inline constexpr std::size_t kScqBulkChunk = 64;
@@ -467,6 +468,8 @@ template <class Faa = HardwareFaa>
 class Scq {
   public:
     using Ring = ScqRing<Faa>;
+    static constexpr const char* kListName = "lscq";  // LinkedRing over SCQs
+    using FaaPolicy = Faa;
 
     // Capacity 2^order values, optionally seeded with one item (LSCQ
     // appends segments "initialized to contain x", like LCRQ does CRQs).
@@ -488,12 +491,18 @@ class Scq {
         std::atomic_thread_fence(std::memory_order_seq_cst);
     }
 
+    // As a list segment: capacity 2^opt.ring_order, hugepage-backed on
+    // opt.huge_segments.
+    explicit Scq(const QueueOptions& opt, std::optional<value_t> first = std::nullopt)
+        : Scq(opt.ring_order, first, opt.huge_segments) {}
+
     ~Scq() { mem::slab_free(data_slab_); }
 
     // In-place reinitialization for segment recycling (cf. Crq::reset).
     // Caller owns the segment exclusively and the order must match.
-    void reset(unsigned order, std::optional<value_t> first = std::nullopt) {
-        assert((std::uint64_t{1} << order) == capacity_);
+    void reset([[maybe_unused]] const QueueOptions& opt,
+               std::optional<value_t> first = std::nullopt) {
+        assert((std::uint64_t{1} << opt.ring_order) == capacity_);
         aq_.reset(0, first.has_value() ? 1 : 0);
         fq_.reset(first.has_value() ? 1 : 0, capacity_);
         if (first.has_value()) {
@@ -508,18 +517,20 @@ class Scq {
     Scq(const Scq&) = delete;
     Scq& operator=(const Scq&) = delete;
 
-    ScqPutResult try_enqueue(value_t x) {
+    EnqueueResult enqueue(value_t x) {
         assert(is_enqueueable(x));
         const auto idx = fq_.dequeue();
-        if (!idx.has_value()) return ScqPutResult::kFull;
+        if (!idx.has_value()) return EnqueueResult::kFull;
         data_[*idx] = x;
         if (aq_.enqueue(*idx) == EnqueueResult::kClosed) {
             // The slot (and its item) never became visible; recycle it.
             fq_.enqueue(*idx);
-            return ScqPutResult::kClosed;
+            return EnqueueResult::kClosed;
         }
-        return ScqPutResult::kOk;
+        return EnqueueResult::kOk;
     }
+    // The bounded-queue name for enqueue, kept for standalone callers.
+    EnqueueResult try_enqueue(value_t x) { return enqueue(x); }
 
     std::optional<value_t> dequeue() {
         const auto idx = aq_.dequeue();
@@ -529,23 +540,19 @@ class Scq {
         return v;
     }
 
-    struct BulkPut {
-        std::size_t done;
-        ScqPutResult status;
-    };
-
     // Batched enqueue: each chunk is one fq claim round plus one aq claim
-    // round, so a k-item batch costs ~2 F&As instead of 2k.  Stops at kFull
-    // (no free slot right now) or kClosed (aq closed mid-batch; unpublished
-    // slots recycled), reporting how many items from the front landed.
-    BulkPut try_enqueue_bulk(std::span<const value_t> items) {
+    // round, so a k-item batch costs ~2 F&As instead of 2k.  Returns how
+    // many items from the front landed; short when the segment is full (no
+    // free slot right now) or closed (aq closed mid-batch; unpublished
+    // slots recycled) — closed() tells which.
+    std::size_t enqueue_bulk(std::span<const value_t> items) {
         std::size_t done = 0;
         std::uint64_t idxs[kScqBulkChunk];
         while (done < items.size()) {
             const std::size_t want = std::min<std::size_t>(
                 {items.size() - done, capacity_, kScqBulkChunk});
             const std::size_t got = fq_.dequeue_bulk(idxs, want);
-            if (got == 0) return {done, ScqPutResult::kFull};
+            if (got == 0) return done;
             for (std::size_t i = 0; i < got; ++i) {
                 assert(is_enqueueable(items[done + i]));
                 data_[idxs[i]] = items[done + i];
@@ -554,10 +561,10 @@ class Scq {
             done += put;
             if (put < got) {
                 fq_.enqueue_bulk({idxs + put, got - put});
-                return {done, ScqPutResult::kClosed};
+                return done;
             }
         }
-        return {done, ScqPutResult::kOk};
+        return done;
     }
 
     // Batched dequeue (Crq::dequeue_bulk contract: short only on an empty
@@ -598,7 +605,7 @@ class Scq {
         return data_slab_.huge_backed && aq_.huge_backed() && fq_.huge_backed();
     }
 
-    // Intrusive link and cluster tag used by Lscq; unused standalone.
+    // Intrusive link and cluster tag used by LinkedRing; unused standalone.
     std::atomic<Scq*> next{nullptr};
     std::atomic<int> cluster{0};
 
@@ -629,7 +636,7 @@ class BasicScqQueue {
     }
 
     bool try_enqueue(value_t x) {
-        return q_.try_enqueue(x) == ScqPutResult::kOk;
+        return q_.enqueue(x) == EnqueueResult::kOk;
     }
 
     std::optional<value_t> dequeue() { return q_.dequeue(); }
@@ -638,7 +645,7 @@ class BasicScqQueue {
         std::size_t done = 0;
         SpinWait waiter;
         while (done < items.size()) {
-            done += q_.try_enqueue_bulk(items.subspan(done)).done;
+            done += q_.enqueue_bulk(items.subspan(done));
             if (done < items.size()) waiter.spin();
         }
     }

@@ -13,7 +13,7 @@
 //    to appending — the segment was never published, so no other thread
 //    can hold a reference;
 //  * drained segments come back through the hazard-pointer path with a
-//    retire-to-pool deleter (lcrq.hpp/lscq.hpp): the hazard scan proves no
+//    retire-to-pool deleter (linked_ring.hpp): the hazard scan proves no
 //    slot still protects the pointer before the deleter runs, which is
 //    exactly the property that keeps the list head/tail CASes ABA-safe
 //    across recycling (a stale holder has the segment protected, so it

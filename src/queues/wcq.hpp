@@ -89,7 +89,7 @@
 #include "arch/inject.hpp"
 #include "arch/thread_id.hpp"
 #include "queues/queue_common.hpp"
-#include "queues/scq.hpp"  // detail::kScqMsb, ScqPutResult
+#include "queues/scq.hpp"  // detail::kScqMsb
 
 namespace lcrq {
 
@@ -104,6 +104,10 @@ struct WcqConfig {
     // scan for or complete a peer's — a killed requester's operation then
     // hangs forever, which is exactly what the ablation tests assert.
     bool helping = true;
+
+    static WcqConfig from(const QueueOptions& opt) noexcept {
+        return {opt.wcq_patience, opt.wcq_helping};
+    }
 };
 
 inline constexpr std::size_t kWcqSlots = 64;
@@ -1009,6 +1013,8 @@ template <class Faa = HardwareFaa>
 class Wcq {
   public:
     using Ring = WcqRing<Faa>;
+    static constexpr const char* kListName = "lwcq";  // LinkedRing over wCQs
+    using FaaPolicy = Faa;
 
     explicit Wcq(unsigned order, std::optional<value_t> first = std::nullopt,
                  WcqConfig cfg = {})
@@ -1023,11 +1029,18 @@ class Wcq {
         std::atomic_thread_fence(std::memory_order_seq_cst);
     }
 
+    // As a list segment: capacity 2^opt.ring_order, helping configured
+    // by opt.wcq_patience / opt.wcq_helping.
+    explicit Wcq(const QueueOptions& opt, std::optional<value_t> first = std::nullopt)
+        : Wcq(opt.ring_order, first, WcqConfig::from(opt)) {}
+
     ~Wcq() { aligned_array_free(data_); }
 
-    void reset(unsigned order, std::optional<value_t> first = std::nullopt,
-               WcqConfig cfg = {}) {
-        assert((std::uint64_t{1} << order) == capacity_);
+    // In-place reinitialization for segment recycling (cf. Scq::reset);
+    // also clears the helping records.
+    void reset(const QueueOptions& opt, std::optional<value_t> first = std::nullopt) {
+        assert((std::uint64_t{1} << opt.ring_order) == capacity_);
+        const WcqConfig cfg = WcqConfig::from(opt);
         aq_.reset(0, first.has_value() ? 1 : 0, cfg);
         fq_.reset(first.has_value() ? 1 : 0, capacity_, cfg);
         if (first.has_value()) {
@@ -1042,16 +1055,16 @@ class Wcq {
     Wcq(const Wcq&) = delete;
     Wcq& operator=(const Wcq&) = delete;
 
-    ScqPutResult try_enqueue(value_t x) {
+    EnqueueResult enqueue(value_t x) {
         assert(is_enqueueable(x));
         const auto idx = fq_.dequeue();
-        if (!idx.has_value()) return ScqPutResult::kFull;
+        if (!idx.has_value()) return EnqueueResult::kFull;
         data_[*idx] = x;
         if (aq_.enqueue(*idx) == EnqueueResult::kClosed) {
             fq_.enqueue(*idx);
-            return ScqPutResult::kClosed;
+            return EnqueueResult::kClosed;
         }
-        return ScqPutResult::kOk;
+        return EnqueueResult::kOk;
     }
 
     std::optional<value_t> dequeue() {
@@ -1071,7 +1084,7 @@ class Wcq {
     Ring& allocated_ring() noexcept { return aq_; }
     Ring& free_ring() noexcept { return fq_; }
 
-    // Intrusive link and cluster tag used by Lwcq; unused standalone.
+    // Intrusive link and cluster tag used by LinkedRing; unused standalone.
     std::atomic<Wcq*> next{nullptr};
     std::atomic<int> cluster{0};
 
@@ -1091,8 +1104,7 @@ class BasicWcqQueue {
     static constexpr const char* kName = "wcq";
 
     explicit BasicWcqQueue(const QueueOptions& opt = {})
-        : q_(opt.bounded_order, std::nullopt,
-             WcqConfig{opt.wcq_patience, opt.wcq_helping}) {}
+        : q_(opt.bounded_order, std::nullopt, WcqConfig::from(opt)) {}
 
     void enqueue(value_t x) {
         SpinWait waiter;
@@ -1100,7 +1112,7 @@ class BasicWcqQueue {
     }
 
     bool try_enqueue(value_t x) {
-        return q_.try_enqueue(x) == ScqPutResult::kOk;
+        return q_.enqueue(x) == EnqueueResult::kOk;
     }
 
     std::optional<value_t> dequeue() { return q_.dequeue(); }

@@ -31,6 +31,37 @@ inline std::uint64_t rdtsc() noexcept {
 #endif
 }
 
+// Fenced TSC reads that bracket an operation, for timestamps compared
+// across CPUs (the history recorder's invoke/response).  A bare rdtsc may
+// execute before earlier instructions finish or after later ones start,
+// so a response stamped on one CPU can read later than the invoke of an
+// operation another CPU began only after seeing the first one complete —
+// an inverted real-time order.  rdtsc_begin waits for everything before
+// it (lfence; rdtsc) and holds back everything after it (lfence);
+// rdtsc_end reads only once every earlier instruction has executed
+// (rdtscp) and again holds back what follows.
+inline std::uint64_t rdtsc_begin() noexcept {
+#if defined(__x86_64__)
+    _mm_lfence();
+    const std::uint64_t t = __rdtsc();
+    _mm_lfence();
+    return t;
+#else
+    return now_ns();
+#endif
+}
+
+inline std::uint64_t rdtsc_end() noexcept {
+#if defined(__x86_64__)
+    unsigned aux;
+    const std::uint64_t t = __rdtscp(&aux);
+    _mm_lfence();
+    return t;
+#else
+    return now_ns();
+#endif
+}
+
 // TSC ticks per nanosecond, measured once at startup (~10 ms).
 double tsc_per_ns();
 

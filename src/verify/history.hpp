@@ -9,9 +9,13 @@
 // (necessary conditions, for large ones) linearizability against the
 // sequential FIFO queue specification.
 //
-// Timestamps are raw TSC ticks: globally meaningful on invariant-TSC x86,
+// Timestamps are TSC ticks: globally meaningful on invariant-TSC x86,
 // and two orders of magnitude cheaper than clock_gettime, which matters
 // because timestamping must not serialize the very races being tested.
+// They are fenced (rdtsc_begin / rdtsc_end, util/timing.hpp): unfenced
+// reads can drift past the operation they bracket, and cross-CPU stamps
+// then invert real-time order, which the checkers report as a causality
+// violation by a correct queue.
 //
 // The recording is spec-agnostic: the same History feeds the total-FIFO
 // checkers and the per-producer-FIFO ones (check_queue_*_per_lane, for
@@ -40,8 +44,8 @@ struct Operation {
     int thread;
     // kEnqueue: the enqueued value.  kDequeue: the dequeued value or kEmpty.
     value_t value;
-    std::uint64_t invoke;    // TSC at invocation
-    std::uint64_t response;  // TSC at response
+    std::uint64_t invoke;    // TSC at invocation (rdtsc_begin)
+    std::uint64_t response;  // TSC at response (rdtsc_end)
 };
 
 using History = std::vector<Operation>;
@@ -56,17 +60,17 @@ class ThreadLog {
     // Wrap a queue operation, timestamping around it.
     template <typename Q>
     void enqueue(Q& q, value_t v) {
-        const std::uint64_t t0 = rdtsc();
+        const std::uint64_t t0 = rdtsc_begin();
         q.enqueue(v);
-        const std::uint64_t t1 = rdtsc();
+        const std::uint64_t t1 = rdtsc_end();
         ops_.push_back({Operation::Kind::kEnqueue, thread_, v, t0, t1});
     }
 
     template <typename Q>
     bool dequeue(Q& q) {
-        const std::uint64_t t0 = rdtsc();
+        const std::uint64_t t0 = rdtsc_begin();
         const auto v = q.dequeue();
-        const std::uint64_t t1 = rdtsc();
+        const std::uint64_t t1 = rdtsc_end();
         ops_.push_back({Operation::Kind::kDequeue, thread_,
                         v.has_value() ? *v : kEmpty, t0, t1});
         return v.has_value();
@@ -80,7 +84,7 @@ class ThreadLog {
     // void-returning implementations, which complete the whole batch).
     template <typename Q>
     std::size_t enqueue_bulk(Q& q, std::span<const value_t> items) {
-        const std::uint64_t t0 = rdtsc();
+        const std::uint64_t t0 = rdtsc_begin();
         std::size_t n;
         if constexpr (std::is_void_v<decltype(q.enqueue_bulk(items))>) {
             q.enqueue_bulk(items);
@@ -88,7 +92,7 @@ class ThreadLog {
         } else {
             n = q.enqueue_bulk(items);
         }
-        const std::uint64_t t1 = rdtsc();
+        const std::uint64_t t1 = rdtsc_end();
         for (std::size_t i = 0; i < n; ++i) {
             ops_.push_back({Operation::Kind::kEnqueue, thread_, items[i], t0, t1});
         }
@@ -99,9 +103,9 @@ class ThreadLog {
     // single EMPTY dequeue (the op did observe the queue empty).
     template <typename Q>
     std::size_t dequeue_bulk(Q& q, value_t* out, std::size_t max) {
-        const std::uint64_t t0 = rdtsc();
+        const std::uint64_t t0 = rdtsc_begin();
         const std::size_t n = q.dequeue_bulk(out, max);
-        const std::uint64_t t1 = rdtsc();
+        const std::uint64_t t1 = rdtsc_end();
         if (n == 0) {
             ops_.push_back({Operation::Kind::kDequeue, thread_, kEmpty, t0, t1});
             return 0;

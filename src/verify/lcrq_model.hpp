@@ -1,10 +1,10 @@
 // Small-step model of the LCRQ list layer over the CRQ model
 // (crq_model.hpp), for schedule exploration.
 //
-// Mirrors queues/lcrq.hpp: enqueue works in the tail segment and appends a
-// fresh seeded segment on CLOSED; dequeue works in the head segment, and —
-// in the *corrected* December-2013 algorithm — retries the segment once
-// more after seeing a successor before swinging head.  The model carries a
+// Mirrors queues/linked_ring.hpp: enqueue works in the tail segment and
+// appends a fresh seeded segment on CLOSED; dequeue works in the head
+// segment, and — in the *corrected* December-2013 algorithm — retries the
+// segment once more after seeing a successor before swinging head.  The model carries a
 // `corrected` switch so the explorer can demonstrate that the proceedings
 // version (without the retry, Fig. 5 lines 146-147 missing) loses items
 // under a real interleaving, while the corrected version survives every

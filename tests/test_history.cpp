@@ -8,10 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
+#include <thread>
 
+#include "arch/backoff.hpp"
 #include "queues/mutex_queue.hpp"
 #include "test_support.hpp"
+#include "util/timing.hpp"
 #include "util/xorshift.hpp"
 #include "verify/history.hpp"
 #include "verify/lin_check.hpp"
@@ -37,6 +41,39 @@ TEST(ThreadLog, RecordsTimestampsInOrder) {
     // Sequential ops do not overlap.
     EXPECT_LE(h[0].response, h[1].invoke);
     EXPECT_LE(h[1].response, h[2].invoke);
+}
+
+// The recorder's causality premise, checked on the clock itself: when one
+// thread's operation responds and hands off to a peer, which only then
+// invokes, the response stamp must not read later than the peer's invoke
+// stamp — even though the two stamps come from different CPUs.  Two
+// threads ping-pong a turn counter; each stamps rdtsc_end before passing
+// the turn and the peer stamps rdtsc_begin after receiving it.
+TEST(ThreadLog, FencedStampsNeverInvertAcrossAHandoff) {
+    constexpr std::uint64_t kRoundTrips = 100'000;
+    std::atomic<std::uint64_t> turn{0};  // player (turn % 2) moves next
+    std::atomic<std::uint64_t> handed_over{0};
+    std::atomic<std::uint64_t> inversions{0};
+    auto player = [&](std::uint64_t me) {
+        SpinWait waiter;
+        for (std::uint64_t t = me; t < 2 * kRoundTrips; t += 2) {
+            while (turn.load(std::memory_order_acquire) != t) waiter.spin();
+            waiter.reset();
+            const std::uint64_t invoke = rdtsc_begin();
+            if (invoke < handed_over.load(std::memory_order_relaxed)) {
+                inversions.fetch_add(1, std::memory_order_relaxed);
+            }
+            handed_over.store(rdtsc_end(), std::memory_order_relaxed);
+            turn.store(t + 1, std::memory_order_release);
+        }
+    };
+    std::thread a(player, 0);
+    std::thread b(player, 1);
+    a.join();
+    b.join();
+    EXPECT_EQ(turn.load(), 2 * kRoundTrips);
+    EXPECT_EQ(inversions.load(), 0u)
+        << "a response stamp read later than the peer's following invoke";
 }
 
 TEST(ThreadLog, DequeueReturnsPresence) {

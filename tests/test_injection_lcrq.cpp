@@ -106,9 +106,9 @@ TEST_F(InjectLcrq, CorrectedDequeueRetrySavesItemInForcedBugWindow) {
     const auto b = q.dequeue();
     ASSERT_TRUE(a.has_value() && b.has_value()) << "items lost across the close";
     logs[2].ops_mutable().push_back({verify::Operation::Kind::kDequeue, 2, *a,
-                                     rdtsc(), rdtsc()});
+                                     rdtsc_begin(), rdtsc_end()});
     logs[2].ops_mutable().push_back({verify::Operation::Kind::kDequeue, 2, *b,
-                                     rdtsc(), rdtsc()});
+                                     rdtsc_begin(), rdtsc_end()});
     EXPECT_EQ(*a, 20u);
     EXPECT_EQ(*b, 30u);
     EXPECT_FALSE(q.dequeue().has_value());
@@ -159,7 +159,7 @@ TEST_F(InjectLcrq, RingCloseStraddlesBulkClaim) {
     verify::ThreadLog drain_log(2);
     for (std::size_t i = 0; i < drained; ++i) {
         drain_log.ops_mutable().push_back(
-            {verify::Operation::Kind::kDequeue, 2, out[i], rdtsc(), rdtsc()});
+            {verify::Operation::Kind::kDequeue, 2, out[i], rdtsc_begin(), rdtsc_end()});
     }
     logs.push_back(std::move(drain_log));
     const auto history = verify::merge(logs);

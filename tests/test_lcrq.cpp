@@ -173,52 +173,8 @@ TEST(Lcrq, ApproxSizeAcrossSegments) {
 }
 
 TEST(Lcrq, ApproxSizeDuringRetirementStress) {
-    // approx_size walks the segment list under hazard protection, so it
-    // must be safe to hammer concurrently with dequeue-driven segment
-    // retirement (tiny rings retire constantly).  Run under ASan this is
-    // the use-after-free probe for the protected walk; the value checks
-    // are deliberately weak (it is an estimate), the liveness ones are not.
     LcrqQueue q(tiny());
-    constexpr int kProducers = 2;
-    constexpr int kConsumers = 2;
-    constexpr int kObservers = 2;
-    constexpr std::uint64_t kPer = 4'000;
-    const std::uint64_t total = kProducers * kPer;
-    std::atomic<std::uint64_t> consumed{0};
-    std::atomic<bool> done{false};
-
-    test::run_threads(kProducers + kConsumers + kObservers, [&](int id) {
-        if (id < kProducers) {
-            for (std::uint64_t i = 0; i < kPer; ++i) {
-                q.enqueue(test::tag(static_cast<unsigned>(id), i));
-            }
-        } else if (id < kProducers + kConsumers) {
-            while (consumed.load(std::memory_order_acquire) < total) {
-                if (q.dequeue()) {
-                    consumed.fetch_add(1, std::memory_order_acq_rel);
-                } else {
-                    std::this_thread::yield();
-                }
-            }
-            done.store(true, std::memory_order_release);
-        } else {
-            // do-while: on a 1-CPU host the consumers can finish before an
-            // observer is ever scheduled, so at least one walk is forced
-            // (over a drained queue it still exercises the protected walk).
-            std::uint64_t walks = 0;
-            do {
-                const std::uint64_t size = q.approx_size();
-                const std::size_t segments = q.segment_count();
-                ASSERT_GE(segments, 1u);
-                // Over-count is bounded by wasted enqueue tickets (< R per
-                // closed segment) plus in-flight items.
-                ASSERT_LE(size, total + 4 * segments);
-                ++walks;
-            } while (!done.load(std::memory_order_acquire));
-            EXPECT_GT(walks, 0u);
-        }
-    });
-    EXPECT_EQ(q.approx_size(), 0u);
+    test::approx_size_during_retirement_stress(q, 4);
 }
 
 TEST(LcrqNoReclaim, FifoAndLeakUntilDestruction) {

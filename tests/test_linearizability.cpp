@@ -172,9 +172,9 @@ TEST(QueueLinearizabilityNegative, LossyQueueIsRejected) {
     verify::ThreadLog log(0);
     int n = 0;
     auto lossy_enqueue = [&](value_t v) {
-        const std::uint64_t t0 = rdtsc();
+        const std::uint64_t t0 = rdtsc_begin();
         if (++n % 3 != 0) inner->enqueue(v);  // drop every 3rd value
-        const std::uint64_t t1 = rdtsc();
+        const std::uint64_t t1 = rdtsc_end();
         log.ops_mutable().push_back(
             {verify::Operation::Kind::kEnqueue, 0, v, t0, t1});
     };

@@ -219,9 +219,7 @@ TEST(ScqValueQueue, BulkRoundTripCostsTwoFaasPerSide) {
     std::vector<value_t> in;
     for (value_t v = 1; v <= 48; ++v) in.push_back(v);
     stats::reset_all();
-    const auto put = q.try_enqueue_bulk(in);
-    ASSERT_EQ(put.done, in.size());
-    EXPECT_EQ(put.status, ScqPutResult::kOk);
+    ASSERT_EQ(q.enqueue_bulk(in), in.size());
     auto snap = stats::global_snapshot();
     // One fq claim round + one aq claim round.
     EXPECT_EQ(snap[stats::Event::kBulkFaa], 2u);
@@ -236,9 +234,8 @@ TEST(ScqValueQueue, BulkRoundTripCostsTwoFaasPerSide) {
 TEST(ScqValueQueue, BulkLargerThanCapacityStopsAtFull) {
     Scq<> q(2);  // capacity 4
     std::vector<value_t> in = {1, 2, 3, 4, 5, 6};
-    const auto put = q.try_enqueue_bulk(in);
-    EXPECT_EQ(put.done, 4u);
-    EXPECT_EQ(put.status, ScqPutResult::kFull);
+    EXPECT_EQ(q.enqueue_bulk(in), 4u);
+    EXPECT_FALSE(q.closed()) << "short because full, not closed";
     value_t out[8];
     ASSERT_EQ(q.dequeue_bulk(out, 8), 4u);
     for (value_t v = 1; v <= 4; ++v) EXPECT_EQ(out[v - 1], v);
@@ -289,6 +286,13 @@ TEST(LscqTest, FifoAcrossSegmentBoundaries) {
         ASSERT_EQ(q.dequeue().value_or(0), v);
     }
     EXPECT_FALSE(q.dequeue().has_value());
+}
+
+TEST(LscqTest, ApproxSizeDuringRetirementStress) {
+    QueueOptions opt;
+    opt.ring_order = 2;
+    LscqQueue q(opt);
+    test::approx_size_during_retirement_stress(q, 4);
 }
 
 TEST(LscqTest, CloseIsAStickyBarrier) {

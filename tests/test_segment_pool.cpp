@@ -338,7 +338,8 @@ TEST(ScqReset, DrainedClosedSegmentRecyclesToSeededState) {
     EXPECT_TRUE(q.closed());
     q.next.store(reinterpret_cast<Scq<HardwareFaa>*>(0x1), std::memory_order_relaxed);
 
-    q.reset(2, value_t{42});  // as LSCQ appends: "initialized to contain x"
+    // As LSCQ appends: "initialized to contain x".
+    q.reset(QueueOptions{.ring_order = 2}, value_t{42});
     EXPECT_FALSE(q.closed());
     EXPECT_EQ(q.next.load(), nullptr);
     EXPECT_EQ(q.dequeue().value_or(0), 42u);
@@ -430,7 +431,7 @@ TEST(ScqHomeCluster, RecordsAllocatingCluster) {
     topo::set_current_cluster(5);
     Scq<HardwareFaa> q(2);
     EXPECT_EQ(q.home_cluster(), 5);
-    q.reset(2, value_t{9});
+    q.reset(QueueOptions{.ring_order = 2}, value_t{9});
     EXPECT_EQ(q.home_cluster(), 5);
     EXPECT_EQ(q.dequeue().value_or(0), 9u);
     topo::set_current_cluster(0);

@@ -231,11 +231,11 @@ TEST(WcqValueQueue, RoundTripAndBackpressure) {
     Wcq<> q(2);  // capacity 4
     EXPECT_EQ(q.capacity(), 4u);
     for (value_t v = 10; v < 14; ++v) {
-        ASSERT_EQ(q.try_enqueue(v), ScqPutResult::kOk);
+        ASSERT_EQ(q.enqueue(v), EnqueueResult::kOk);
     }
-    EXPECT_EQ(q.try_enqueue(99), ScqPutResult::kFull);
+    EXPECT_EQ(q.enqueue(99), EnqueueResult::kFull);
     EXPECT_EQ(q.dequeue().value_or(0), 10u);
-    EXPECT_EQ(q.try_enqueue(14), ScqPutResult::kOk);
+    EXPECT_EQ(q.enqueue(14), EnqueueResult::kOk);
     for (value_t v = 11; v < 15; ++v) {
         ASSERT_EQ(q.dequeue().value_or(0), v);
     }
@@ -244,11 +244,11 @@ TEST(WcqValueQueue, RoundTripAndBackpressure) {
 
 TEST(WcqValueQueue, CloseRecyclesTheUnpublishedSlot) {
     Wcq<> q(2);
-    ASSERT_EQ(q.try_enqueue(1), ScqPutResult::kOk);
+    ASSERT_EQ(q.enqueue(1), EnqueueResult::kOk);
     q.close();
     EXPECT_TRUE(q.closed());
     for (int i = 0; i < 20; ++i) {
-        ASSERT_EQ(q.try_enqueue(50), ScqPutResult::kClosed);
+        ASSERT_EQ(q.enqueue(50), EnqueueResult::kClosed);
     }
     EXPECT_EQ(q.dequeue().value_or(0), 1u);
     EXPECT_FALSE(q.dequeue().has_value());
@@ -316,6 +316,13 @@ TEST(LwcqTest, FifoAcrossSegmentBoundaries) {
         ASSERT_EQ(q.dequeue().value_or(0), v);
     }
     EXPECT_FALSE(q.dequeue().has_value());
+}
+
+TEST(LwcqTest, ApproxSizeDuringRetirementStress) {
+    QueueOptions opt;
+    opt.ring_order = 2;
+    LwcqQueue q(opt);
+    test::approx_size_during_retirement_stress(q, 4);
 }
 
 TEST(LwcqTest, CloseIsAStickyBarrier) {
