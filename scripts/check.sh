@@ -42,12 +42,17 @@ LCRQ_FORCE_NO_THP=1 ctest --test-dir build --output-on-failure -R \
 # run bench_compare.py baseline new.  The ring-autotune artifact gets its
 # dedicated validator too: it recomputes the recommended ring order from
 # the sweep rows and fails on drift between the C++ and Python pick rules.
+# The repo benchmark (perfbench/, declared by BENCHMARK.json) builds its
+# own measurement program outside the root build, so it is built and
+# smoked here too.
 if command -v python3 >/dev/null 2>&1; then
   mkdir -p bench_artifacts
   ./build/bench/regress --smoke --out-dir bench_artifacts
   ./build/bench/dispatch_server --smoke \
     --json bench_artifacts/BENCH_dispatch_server.json
   python3 scripts/bench_compare.py --self-check
+  python3 perfbench/run.py --selftest
+  python3 perfbench/run.py --smoke
   python3 scripts/ring_autotune.py --self-check
   python3 scripts/ring_autotune.py bench_artifacts/BENCH_ring_autotune.json
   for f in bench_artifacts/BENCH_*.json; do

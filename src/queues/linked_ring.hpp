@@ -41,8 +41,8 @@
 //   std::atomic<Segment*> next; std::atomic<int> cluster  — the intrusive
 //                  list link and the hierarchy's cluster tag
 //   kListName, FaaPolicy  — the list queue's name and the F&A policy
-// and optionally the bulk pair (BulkSegment below), which gives the list
-// its enqueue_bulk/dequeue_bulk.
+// and optionally the bulk pair (BulkSegment, queue_common.hpp), which
+// gives the list its enqueue_bulk/dequeue_bulk.
 #pragma once
 
 #include <atomic>
@@ -65,17 +65,6 @@
 #include "queues/segment_pool.hpp"
 
 namespace lcrq {
-
-// Segments with batched operations.  enqueue_bulk returns how many items
-// from the front landed, short only when the segment refused the rest
-// (it is closed, or full); dequeue_bulk follows the BulkConcurrentQueue
-// contract (short only on an empty observation).
-template <class S>
-concept BulkSegment =
-    requires(S& s, std::span<const value_t> in, value_t* out, std::size_t max) {
-        { s.enqueue_bulk(in) } -> std::same_as<std::size_t>;
-        { s.dequeue_bulk(out, max) } -> std::same_as<std::size_t>;
-    };
 
 template <class Segment, class Hierarchy = NoHierarchy, bool Protected = true,
           bool Pooled = true>

@@ -70,6 +70,18 @@ concept BulkConcurrentQueue =
         { q.dequeue_bulk(out, max) } -> std::same_as<std::size_t>;
     };
 
+// Segments, and the SCQ rings under them, with batched operations.
+// enqueue_bulk returns how many items from the front landed, short only
+// when the segment refused the rest (it is closed, or full); dequeue_bulk
+// follows the BulkConcurrentQueue contract (short only on an empty
+// observation).
+template <class S>
+concept BulkSegment =
+    requires(S& s, std::span<const value_t> in, value_t* out, std::size_t max) {
+        { s.enqueue_bulk(in) } -> std::same_as<std::size_t>;
+        { s.dequeue_bulk(out, max) } -> std::same_as<std::size_t>;
+    };
+
 // Loop fallbacks: the bulk contract, one item at a time.  Baselines without
 // a native batch path get these, so sweeps can compare amortized vs not.
 template <ConcurrentQueue Q>

@@ -29,6 +29,11 @@
 // the standalone queue); close() is explicit, and the list layer
 // (linked_ring.hpp) closes a segment's aq when fq reports full, exactly
 // where CRQ would tantrum.
+//
+// This header is also wCQ's substrate (wcq.hpp): ScqRingCore is the ring
+// both ScqRing and WcqRing derive from, and the value queue
+// (ScqValueQueue: Scq, Wcq) and the bounded queue (ScqBoundedQueue:
+// ScqQueue, WcqQueue) are written once over either ring.
 #pragma once
 
 #include <algorithm>
@@ -55,37 +60,23 @@ inline constexpr std::uint64_t kScqMsb = std::uint64_t{1} << 63;
 
 }  // namespace detail
 
-// Ring of 2^(order+1) single-word entries holding up to 2^order small
-// integers in FIFO order.  The index field is order+1 bits (⊥ = all ones),
-// the next bit is the safe bit, and the rest of the word is the cycle.
-template <class Faa = HardwareFaa>
-class ScqRing {
+// The SCQ ring substrate, shared by ScqRing and WcqRing (wcq.hpp): a ring
+// of 2^(order+1) single-word entries holding up to 2^order small integers
+// in FIFO order, with the head/tail/threshold words and everything about
+// them that does not depend on how an entry is consumed.  An entry is
+//   [ cycle | safe | gap:GapBits | idx:order+1 ]
+// where ⊥ is the all-ones index field and the gap holds wCQ's helping
+// note (0 bits for SCQ).  The rings derive from it and add their own
+// put_at/take_at and operation loops.
+template <unsigned GapBits>
+class ScqRingCore {
   public:
     // The whole point: one lock-free 64-bit word per entry, no CAS2.
     using Entry = std::atomic<std::uint64_t>;
     static_assert(sizeof(Entry) == 8);
 
-    // Construct with capacity 2^order, pre-filled with the consecutive
-    // integers seed_begin..seed_end-1 (fq starts holding every free index;
-    // LSCQ appends segments already containing one published index).
-    explicit ScqRing(unsigned order, std::uint64_t seed_begin = 0,
-                     std::uint64_t seed_end = 0, bool huge = false)
-        : order_(order),
-          capacity_(std::uint64_t{1} << order),
-          size_(capacity_ * 2),
-          mask_(size_ - 1),
-          idx_bits_(order + 1),
-          bottom_(size_ - 1),
-          threshold_full_(static_cast<std::int64_t>(3 * capacity_ - 1)) {
-        assert(order >= 1 && order < 32);
-        // NUMA home is first-touch (init_ring writes every entry from the
-        // allocating thread); `huge` is pre-gated by the caller (Scq
-        // applies kHugeMinRingOrder).
-        slab_ = mem::slab_alloc(size_ * sizeof(Entry), kCacheLineSize,
-                                {huge, topo::current_cluster()});
-        entries_ = static_cast<Entry*>(check_alloc(slab_.ptr));
-        init_ring(seed_begin, seed_end);
-    }
+    ScqRingCore(const ScqRingCore&) = delete;
+    ScqRingCore& operator=(const ScqRingCore&) = delete;
 
     // Reinitialize a drained, quiescent ring in place (cf. Crq::reset):
     // equivalent to reconstructing with the same order.  Caller owns the
@@ -94,12 +85,192 @@ class ScqRing {
         init_ring(seed_begin, seed_end);
     }
 
-    ~ScqRing() { mem::slab_free(slab_); }
-
     bool huge_backed() const noexcept { return slab_.huge_backed; }
 
-    ScqRing(const ScqRing&) = delete;
-    ScqRing& operator=(const ScqRing&) = delete;
+    // Close to further enqueues (sets tail's MSB; idempotent).
+    void close() LCRQ_INJECT_NOEXCEPT {
+        counted_test_and_set_bit(*tail_, 63);
+        LCRQ_INJECT_POINT(kRingCloseCas);
+        stats::count(stats::Event::kCrqClose);
+    }
+
+    bool closed() const noexcept {
+        return (tail_->load(std::memory_order_seq_cst) & detail::kScqMsb) != 0;
+    }
+
+    std::uint64_t head_index() const noexcept {
+        return head_->load(std::memory_order_seq_cst);
+    }
+    std::uint64_t tail_index() const noexcept {
+        return tail_->load(std::memory_order_seq_cst) & ~detail::kScqMsb;
+    }
+    std::int64_t threshold() const noexcept {
+        return threshold_->load(std::memory_order_seq_cst);
+    }
+    std::uint64_t capacity() const noexcept { return capacity_; }
+
+    std::uint64_t approx_size() const noexcept {
+        const std::uint64_t t = tail_index();
+        const std::uint64_t h = head_index();
+        const std::uint64_t n = t > h ? t - h : 0;
+        return n < capacity_ ? n : capacity_;
+    }
+
+    // Test peer: a thread that performed its F&A and then was descheduled
+    // forever (cf. Crq::debug_take_*_ticket).
+    std::uint64_t debug_take_enqueue_ticket() {
+        return HardwareFaa::fetch_add(*tail_, 1) & ~detail::kScqMsb;
+    }
+    std::uint64_t debug_take_dequeue_ticket() {
+        return HardwareFaa::fetch_add(*head_, 1);
+    }
+
+  protected:
+    // Construct with capacity 2^order, pre-filled with the consecutive
+    // integers seed_begin..seed_end-1 (fq starts holding every free index;
+    // LSCQ appends segments already containing one published index).
+    ScqRingCore(unsigned order, std::uint64_t seed_begin, std::uint64_t seed_end,
+                bool huge)
+        : capacity_(std::uint64_t{1} << order),
+          size_(capacity_ * 2),
+          mask_(size_ - 1),
+          idx_bits_(order + 1),
+          bottom_(size_ - 1),
+          threshold_full_(static_cast<std::int64_t>(3 * capacity_ - 1)) {
+        // The gap comes out of the cycle field, which keeps >= 18 bits.
+        assert(order >= 1 && order < 32 && order + GapBits <= 44);
+        // NUMA home is first-touch (init_ring writes every entry from the
+        // allocating thread); `huge` is pre-gated by the caller (the value
+        // queue applies kHugeMinRingOrder).
+        slab_ = mem::slab_alloc(size_ * sizeof(Entry), kCacheLineSize,
+                                {huge, topo::current_cluster()});
+        entries_ = static_cast<Entry*>(check_alloc(slab_.ptr));
+        init_ring(seed_begin, seed_end);
+    }
+
+    ~ScqRingCore() { mem::slab_free(slab_); }
+
+    unsigned safe_shift() const noexcept { return idx_bits_ + GapBits; }
+    unsigned cycle_shift() const noexcept { return safe_shift() + 1; }
+
+    std::uint64_t cycle_of_ticket(std::uint64_t t) const noexcept {
+        return t >> idx_bits_;
+    }
+    std::uint64_t pack(std::uint64_t cycle, bool safe,
+                       std::uint64_t idx) const noexcept {
+        return (cycle << cycle_shift()) |
+               (safe ? (std::uint64_t{1} << safe_shift()) : 0) | idx;
+    }
+    std::uint64_t cycle_of(std::uint64_t e) const noexcept {
+        return e >> cycle_shift();
+    }
+    bool is_safe(std::uint64_t e) const noexcept {
+        return (e & (std::uint64_t{1} << safe_shift())) != 0;
+    }
+    std::uint64_t index_of(std::uint64_t e) const noexcept { return e & bottom_; }
+
+    // Spread consecutive ring slots across cache lines (DISC'19 §4.6):
+    // rotate the slot number left by 3 within its idx_bits-wide field, so
+    // neighbouring tickets land 8 entries (one cache line) apart.  Identity
+    // for tiny rings, where the whole ring fits in a line anyway.
+    std::uint64_t remap(std::uint64_t j) const noexcept {
+        if (idx_bits_ <= 3) return j;
+        return ((j << 3) | (j >> (idx_bits_ - 3))) & mask_;
+    }
+    Entry& entry_at(std::uint64_t t) noexcept {
+        return entries_[remap(t & mask_)];
+    }
+
+    // Re-arm the EMPTY bound after a publish: dequeuers may burn 3n-1
+    // tickets before concluding empty, counted from this enqueue.
+    void rearm_threshold() {
+        if (threshold_->load(std::memory_order_seq_cst) != threshold_full_) {
+            threshold_->store(threshold_full_, std::memory_order_seq_cst);
+        }
+    }
+
+    // A threshold-exhaustion EMPTY is authoritative only while the ring is
+    // open.  On a *closed* ring a pre-close enqueuer stalled between its
+    // tail F&A and its entry CAS can still publish later, and the threshold
+    // can burn out on holes (bulk enqueues waste tickets) before head ever
+    // reaches the stalled ticket — but LSCQ retires a segment on EMPTY, so
+    // a late publish would strand the item in a dead segment.  The closed
+    // tail is frozen, which makes head >= tail a stable emptiness check;
+    // draining head up to the frozen tail first invalidates every
+    // outstanding ticket (each burned entry is advanced or holds a stale
+    // index the publisher's CAS rejects), restoring exactly the guarantee
+    // CRQ's head >= tail EMPTY gives LCRQ.
+    bool exhaustion_final() const noexcept {
+        const std::uint64_t traw = tail_->load(std::memory_order_seq_cst);
+        if ((traw & detail::kScqMsb) == 0) return true;
+        return head_->load(std::memory_order_seq_cst) >=
+               (traw & ~detail::kScqMsb);
+    }
+
+    // Dequeuers overshooting an empty ring leave head > tail; pull tail
+    // forward so enqueuers do not burn an F&A round per wasted index.  The
+    // CRQ analogue is fix_state; like it, a closed tail is frozen (the CAS
+    // must not clobber the MSB).
+    void catchup(std::uint64_t traw, std::uint64_t h) LCRQ_INJECT_NOEXCEPT {
+        LCRQ_INJECT_POINT(kScqCatchup);
+        for (;;) {
+            if ((traw & detail::kScqMsb) != 0) return;
+            if (traw >= h) return;
+            if (counted_cas(*tail_, traw, h)) return;
+            h = head_->load(std::memory_order_seq_cst);
+            traw = tail_->load(std::memory_order_seq_cst);
+        }
+    }
+
+    const std::uint64_t capacity_;
+    const std::uint64_t size_;   // 2 * capacity_ entries
+    const std::uint64_t mask_;
+    const unsigned idx_bits_;    // order + 1
+    const std::uint64_t bottom_; // ⊥ == the all-ones index field
+    const std::int64_t threshold_full_;  // 3n - 1
+    mem::Slab slab_;
+    Entry* entries_;
+
+    CacheAligned<std::atomic<std::uint64_t>, kDestructivePairSize> head_{0};
+    CacheAligned<std::atomic<std::uint64_t>, kDestructivePairSize> tail_{0};
+    CacheAligned<std::atomic<std::int64_t>, kDestructivePairSize> threshold_{0};
+
+  private:
+    void init_ring(std::uint64_t seed_begin, std::uint64_t seed_end) {
+        const std::uint64_t seeds = seed_end - seed_begin;
+        assert(seeds <= capacity_);
+        for (std::uint64_t u = 0; u < size_; ++u) {
+            entries_[u].store(pack(0, true, bottom_), std::memory_order_relaxed);
+        }
+        // Seeded entries live on cycle 1 (ticket size_ + i), matching the
+        // head/tail start of one full lap so cycle 0 never carries items.
+        for (std::uint64_t i = 0; i < seeds; ++i) {
+            entries_[remap(i)].store(pack(1, true, seed_begin + i),
+                                     std::memory_order_relaxed);
+        }
+        head_->store(size_, std::memory_order_relaxed);
+        tail_->store(size_ + seeds, std::memory_order_relaxed);
+        threshold_->store(seeds != 0 ? threshold_full_ : -1,
+                          std::memory_order_relaxed);
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+    }
+};
+
+// The SCQ ring: the substrate with no gap, consuming with one fetch-or.
+template <class Faa = HardwareFaa>
+class ScqRing : public ScqRingCore<0> {
+  public:
+    static constexpr const char* kName = "scq";       // bounded queue
+    static constexpr const char* kListName = "lscq";  // LinkedRing over SCQs
+    using FaaPolicy = Faa;
+    // SCQ has no tuning; the value queue passes one through regardless.
+    struct Config {
+        static Config from(const QueueOptions&) noexcept { return {}; }
+    };
+
+    explicit ScqRing(unsigned order, std::uint64_t seed_begin = 0,
+                     std::uint64_t seed_end = 0, Config = {}, bool huge = false)
+        : ScqRingCore(order, seed_begin, seed_end, huge) {}
 
     // Append idx (< capacity).  Loops until it lands or the ring is closed;
     // with the ≤ capacity outstanding-index invariant every F&A round that
@@ -250,94 +421,14 @@ class ScqRing {
         return n;
     }
 
-    // Close to further enqueues (sets tail's MSB; idempotent).
-    void close() LCRQ_INJECT_NOEXCEPT {
-        counted_test_and_set_bit(*tail_, 63);
-        LCRQ_INJECT_POINT(kRingCloseCas);
-        stats::count(stats::Event::kCrqClose);
-    }
-
-    bool closed() const noexcept {
-        return (tail_->load(std::memory_order_seq_cst) & detail::kScqMsb) != 0;
-    }
-
-    std::uint64_t head_index() const noexcept {
-        return head_->load(std::memory_order_seq_cst);
-    }
-    std::uint64_t tail_index() const noexcept {
-        return tail_->load(std::memory_order_seq_cst) & ~detail::kScqMsb;
-    }
-    std::int64_t threshold() const noexcept {
-        return threshold_->load(std::memory_order_seq_cst);
-    }
-    std::uint64_t capacity() const noexcept { return capacity_; }
-
-    std::uint64_t approx_size() const noexcept {
-        const std::uint64_t t = tail_index();
-        const std::uint64_t h = head_index();
-        const std::uint64_t n = t > h ? t - h : 0;
-        return n < capacity_ ? n : capacity_;
-    }
-
-    // Test peer: a thread that performed its F&A and then was descheduled
-    // forever (cf. Crq::debug_take_*_ticket).
-    std::uint64_t debug_take_enqueue_ticket() {
-        return Faa::fetch_add(*tail_, 1) & ~detail::kScqMsb;
-    }
-    std::uint64_t debug_take_dequeue_ticket() { return Faa::fetch_add(*head_, 1); }
-
   private:
-    void init_ring(std::uint64_t seed_begin, std::uint64_t seed_end) {
-        const std::uint64_t seeds = seed_end - seed_begin;
-        assert(seeds <= capacity_);
-        for (std::uint64_t u = 0; u < size_; ++u) {
-            entries_[u].store(pack(0, true, bottom_), std::memory_order_relaxed);
-        }
-        // Seeded entries live on cycle 1 (ticket size_ + i), matching the
-        // head/tail start of one full lap so cycle 0 never carries items.
-        for (std::uint64_t i = 0; i < seeds; ++i) {
-            entries_[remap(i)].store(pack(1, true, seed_begin + i),
-                                     std::memory_order_relaxed);
-        }
-        head_->store(size_, std::memory_order_relaxed);
-        tail_->store(size_ + seeds, std::memory_order_relaxed);
-        threshold_->store(seeds != 0 ? threshold_full_ : -1,
-                          std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-    }
-
-    std::uint64_t cycle_of_ticket(std::uint64_t t) const noexcept {
-        return t >> idx_bits_;
-    }
-    std::uint64_t pack(std::uint64_t cycle, bool safe,
-                       std::uint64_t idx) const noexcept {
-        return (cycle << (idx_bits_ + 1)) |
-               (safe ? (std::uint64_t{1} << idx_bits_) : 0) | idx;
-    }
-    std::uint64_t cycle_of(std::uint64_t e) const noexcept {
-        return e >> (idx_bits_ + 1);
-    }
-    bool is_safe(std::uint64_t e) const noexcept {
-        return (e & (std::uint64_t{1} << idx_bits_)) != 0;
-    }
-    std::uint64_t index_of(std::uint64_t e) const noexcept { return e & bottom_; }
-
-    // Spread consecutive ring slots across cache lines (DISC'19 §4.6):
-    // rotate the slot number left by 3 within its idx_bits-wide field, so
-    // neighbouring tickets land 8 entries (one cache line) apart.  Identity
-    // for tiny rings, where the whole ring fits in a line anyway.
-    std::uint64_t remap(std::uint64_t j) const noexcept {
-        if (idx_bits_ <= 3) return j;
-        return ((j << 3) | (j >> (idx_bits_ - 3))) & mask_;
-    }
-
     // One enqueue attempt with ticket t: publish idx if the entry is on an
     // older cycle, holds no index, and is safe or rescuable (head ≤ t).
     // False on an unusable entry; a lost CAS re-reads and re-decides, since
     // a dequeuer may merely have flipped our safe bit or advanced a cycle
     // that is still below ours.
     bool put_at(std::uint64_t t, std::uint64_t idx) {
-        Entry& entry = entries_[remap(t & mask_)];
+        Entry& entry = entry_at(t);
         std::uint64_t e = entry.load(std::memory_order_seq_cst);
         for (;;) {
             LCRQ_INJECT_POINT(kScqAfterCycleLoad);
@@ -349,11 +440,7 @@ class ScqRing {
             LCRQ_INJECT_POINT(kScqBeforeEntryCas);
             if (counted_cas(entry, e, pack(cycle_of_ticket(t), true, idx))) {
                 LCRQ_INJECT_POINT(kScqEnqPublished);
-                // Re-arm the EMPTY bound: dequeuers may burn 3n-1 tickets
-                // before concluding empty, counted from this enqueue.
-                if (threshold_->load(std::memory_order_seq_cst) != threshold_full_) {
-                    threshold_->store(threshold_full_, std::memory_order_seq_cst);
-                }
+                rearm_threshold();
                 return true;
             }
             e = entry.load(std::memory_order_seq_cst);
@@ -364,7 +451,7 @@ class ScqRing {
     // the ticket is spent (entry overtaken, marked unsafe, or advanced to
     // our cycle by our empty transition).
     bool take_at(std::uint64_t h, std::uint64_t& out) {
-        Entry& entry = entries_[remap(h & mask_)];
+        Entry& entry = entry_at(h);
         const std::uint64_t hc = cycle_of_ticket(h);
         std::uint64_t e = entry.load(std::memory_order_seq_cst);
         for (;;) {
@@ -403,83 +490,34 @@ class ScqRing {
             e = entry.load(std::memory_order_seq_cst);
         }
     }
-
-    // A threshold-exhaustion EMPTY is authoritative only while the ring is
-    // open.  On a *closed* ring a pre-close enqueuer stalled between its
-    // tail F&A and its entry CAS can still publish later, and the threshold
-    // can burn out on holes (bulk enqueues waste tickets) before head ever
-    // reaches the stalled ticket — but LSCQ retires a segment on EMPTY, so
-    // a late publish would strand the item in a dead segment.  The closed
-    // tail is frozen, which makes head >= tail a stable emptiness check;
-    // draining head up to the frozen tail first invalidates every
-    // outstanding ticket (each burned entry is advanced or holds a stale
-    // index the publisher's CAS rejects), restoring exactly the guarantee
-    // CRQ's head >= tail EMPTY gives LCRQ.
-    bool exhaustion_final() const noexcept {
-        const std::uint64_t traw = tail_->load(std::memory_order_seq_cst);
-        if ((traw & detail::kScqMsb) == 0) return true;
-        return head_->load(std::memory_order_seq_cst) >=
-               (traw & ~detail::kScqMsb);
-    }
-
-    // Dequeuers overshooting an empty ring leave head > tail; pull tail
-    // forward so enqueuers do not burn an F&A round per wasted index.  The
-    // CRQ analogue is fix_state; like it, a closed tail is frozen (the CAS
-    // must not clobber the MSB).
-    void catchup(std::uint64_t traw, std::uint64_t h) LCRQ_INJECT_NOEXCEPT {
-        LCRQ_INJECT_POINT(kScqCatchup);
-        for (;;) {
-            if ((traw & detail::kScqMsb) != 0) return;
-            if (traw >= h) return;
-            if (counted_cas(*tail_, traw, h)) return;
-            h = head_->load(std::memory_order_seq_cst);
-            traw = tail_->load(std::memory_order_seq_cst);
-        }
-    }
-
-    const unsigned order_;
-    const std::uint64_t capacity_;
-    const std::uint64_t size_;   // 2 * capacity_ entries
-    const std::uint64_t mask_;
-    const unsigned idx_bits_;    // order_ + 1
-    const std::uint64_t bottom_; // ⊥ == the all-ones index field
-    const std::int64_t threshold_full_;  // 3n - 1
-    mem::Slab slab_;
-    Entry* entries_;
-
-    CacheAligned<std::atomic<std::uint64_t>, kDestructivePairSize> head_{0};
-    CacheAligned<std::atomic<std::uint64_t>, kDestructivePairSize> tail_{0};
-    CacheAligned<std::atomic<std::int64_t>, kDestructivePairSize> threshold_{0};
 };
-
-// Outcome of Scq::enqueue: kFull means every slot index is in flight
-// (bounded-queue backpressure); kClosed means the allocated queue was
-// closed (only LSCQ does this) and the slot went back to the free list.
-using ScqPutResult = EnqueueResult;
 
 // Per-round scratch size for the value-queue bulk paths.
 inline constexpr std::size_t kScqBulkChunk = 64;
 
-// The SCQ value queue: an allocated-queue/free-queue pair of rings over a
-// plain data array.  The array needs no atomics: the publishing entry CAS
-// in aq (or fq) is the release, and the consuming load is the acquire, for
-// each slot's handoff between writer and reader.
-template <class Faa = HardwareFaa>
-class Scq {
+// The value queue over an SCQ-family ring (ScqRing, WcqRing): an
+// allocated-queue/free-queue pair of rings over a plain data array.  The
+// array needs no atomics: the publishing entry CAS in aq (or fq) is the
+// release, and the consuming load is the acquire, for each slot's handoff
+// between writer and reader.  Scq and Wcq are this over their ring.
+template <class RingT>
+class ScqValueQueue {
   public:
-    using Ring = ScqRing<Faa>;
-    static constexpr const char* kListName = "lscq";  // LinkedRing over SCQs
-    using FaaPolicy = Faa;
+    using Ring = RingT;
+    using Config = typename Ring::Config;
+    static constexpr const char* kListName = Ring::kListName;
+    using FaaPolicy = typename Ring::FaaPolicy;
 
     // Capacity 2^order values, optionally seeded with one item (LSCQ
     // appends segments "initialized to contain x", like LCRQ does CRQs).
-    explicit Scq(unsigned order, std::optional<value_t> first = std::nullopt,
-                 bool huge = false)
+    explicit ScqValueQueue(unsigned order,
+                           std::optional<value_t> first = std::nullopt,
+                           bool huge = false, Config cfg = {})
         : capacity_(std::uint64_t{1} << order),
           huge_(huge && order >= kHugeMinRingOrder),
           home_cluster_(topo::current_cluster()),
-          aq_(order, 0, first.has_value() ? 1 : 0, huge_),
-          fq_(order, first.has_value() ? 1 : 0, capacity_, huge_) {
+          aq_(order, 0, first.has_value() ? 1 : 0, cfg, huge_),
+          fq_(order, first.has_value() ? 1 : 0, capacity_, cfg, huge_) {
         data_slab_ = mem::slab_alloc(capacity_ * sizeof(value_t),
                                      kCacheLineSize, {huge_, home_cluster_});
         data_ = static_cast<value_t*>(check_alloc(data_slab_.ptr));
@@ -492,14 +530,17 @@ class Scq {
     }
 
     // As a list segment: capacity 2^opt.ring_order, hugepage-backed on
-    // opt.huge_segments.
-    explicit Scq(const QueueOptions& opt, std::optional<value_t> first = std::nullopt)
-        : Scq(opt.ring_order, first, opt.huge_segments) {}
+    // opt.huge_segments, ring tuning (wCQ's patience/helping) from opt.
+    explicit ScqValueQueue(const QueueOptions& opt,
+                           std::optional<value_t> first = std::nullopt)
+        : ScqValueQueue(opt.ring_order, first, opt.huge_segments,
+                        Config::from(opt)) {}
 
-    ~Scq() { mem::slab_free(data_slab_); }
+    ~ScqValueQueue() { mem::slab_free(data_slab_); }
 
     // In-place reinitialization for segment recycling (cf. Crq::reset).
-    // Caller owns the segment exclusively and the order must match.
+    // Caller owns the segment exclusively; the order and ring tuning must
+    // match construction (the list layer recycles within one queue).
     void reset([[maybe_unused]] const QueueOptions& opt,
                std::optional<value_t> first = std::nullopt) {
         assert((std::uint64_t{1} << opt.ring_order) == capacity_);
@@ -514,8 +555,8 @@ class Scq {
         std::atomic_thread_fence(std::memory_order_seq_cst);
     }
 
-    Scq(const Scq&) = delete;
-    Scq& operator=(const Scq&) = delete;
+    ScqValueQueue(const ScqValueQueue&) = delete;
+    ScqValueQueue& operator=(const ScqValueQueue&) = delete;
 
     EnqueueResult enqueue(value_t x) {
         assert(is_enqueueable(x));
@@ -545,7 +586,9 @@ class Scq {
     // many items from the front landed; short when the segment is full (no
     // free slot right now) or closed (aq closed mid-batch; unpublished
     // slots recycled) — closed() tells which.
-    std::size_t enqueue_bulk(std::span<const value_t> items) {
+    std::size_t enqueue_bulk(std::span<const value_t> items)
+        requires BulkSegment<Ring>
+    {
         std::size_t done = 0;
         std::uint64_t idxs[kScqBulkChunk];
         while (done < items.size()) {
@@ -569,7 +612,9 @@ class Scq {
 
     // Batched dequeue (Crq::dequeue_bulk contract: short only on an empty
     // observation, 0 means EMPTY).
-    std::size_t dequeue_bulk(value_t* out, std::size_t max) {
+    std::size_t dequeue_bulk(value_t* out, std::size_t max)
+        requires BulkSegment<Ring>
+    {
         std::size_t n = 0;
         std::uint64_t idxs[kScqBulkChunk];
         while (n < max) {
@@ -606,7 +651,7 @@ class Scq {
     }
 
     // Intrusive link and cluster tag used by LinkedRing; unused standalone.
-    std::atomic<Scq*> next{nullptr};
+    std::atomic<ScqValueQueue*> next{nullptr};
     std::atomic<int> cluster{0};
 
   private:
@@ -619,16 +664,26 @@ class Scq {
     value_t* data_;
 };
 
-// Standalone bounded MPMC queue over one Scq, capacity 2^bounded_order
-// (the bounded-baseline knob, like BoundedMpmcQueue).  enqueue() applies
-// backpressure by spinning on kFull; the ring is never closed.
-template <class Faa = HardwareFaa>
-class BasicScqQueue {
-  public:
-    static constexpr const char* kName = "scq";
+// Outcome of Scq::enqueue: kFull means every slot index is in flight
+// (bounded-queue backpressure); kClosed means the allocated queue was
+// closed (only LSCQ does this) and the slot went back to the free list.
+using ScqPutResult = EnqueueResult;
 
-    explicit BasicScqQueue(const QueueOptions& opt = {})
-        : q_(opt.bounded_order) {}
+template <class Faa = HardwareFaa>
+using Scq = ScqValueQueue<ScqRing<Faa>>;
+
+// Standalone bounded MPMC queue over one value queue, capacity
+// 2^bounded_order (the bounded-baseline knob, like BoundedMpmcQueue); the
+// registry's "scq" and "wcq".  enqueue() applies backpressure by spinning
+// on kFull; the ring is never closed.
+template <class Ring>
+class ScqBoundedQueue {
+  public:
+    static constexpr const char* kName = Ring::kName;
+
+    explicit ScqBoundedQueue(const QueueOptions& opt = {})
+        : q_(opt.bounded_order, std::nullopt, /*huge=*/false,
+             Ring::Config::from(opt)) {}
 
     void enqueue(value_t x) {
         SpinWait waiter;
@@ -641,7 +696,9 @@ class BasicScqQueue {
 
     std::optional<value_t> dequeue() { return q_.dequeue(); }
 
-    void enqueue_bulk(std::span<const value_t> items) {
+    void enqueue_bulk(std::span<const value_t> items)
+        requires BulkSegment<Ring>
+    {
         std::size_t done = 0;
         SpinWait waiter;
         while (done < items.size()) {
@@ -650,7 +707,9 @@ class BasicScqQueue {
         }
     }
 
-    std::size_t dequeue_bulk(value_t* out, std::size_t max) {
+    std::size_t dequeue_bulk(value_t* out, std::size_t max)
+        requires BulkSegment<Ring>
+    {
         return q_.dequeue_bulk(out, max);
     }
 
@@ -661,12 +720,14 @@ class BasicScqQueue {
 
     std::uint64_t capacity() const noexcept { return q_.capacity(); }
     std::uint64_t approx_size() const noexcept { return q_.approx_size(); }
-    Scq<Faa>& base() noexcept { return q_; }
+    ScqValueQueue<Ring>& base() noexcept { return q_; }
 
   private:
-    Scq<Faa> q_;
+    ScqValueQueue<Ring> q_;
 };
 
+template <class Faa = HardwareFaa>
+using BasicScqQueue = ScqBoundedQueue<ScqRing<Faa>>;
 using ScqQueue = BasicScqQueue<HardwareFaa>;
 
 }  // namespace lcrq

@@ -2,11 +2,12 @@
 // "wCQ: A Fast Wait-Free Queue with Bounded Memory Usage", SPAA'22 /
 // arXiv 2201.02179; see PAPERS.md).
 //
-// WcqRing keeps ScqRing's protocol verbatim on the fast path — F&A ticket,
-// cycle/safe entry CAS, threshold-bounded EMPTY — and adds the wCQ idea on
-// top: when a thread runs out of patience (or is descheduled forever), its
-// operation is published as a *helping record* that any other thread can
-// finish.  Every shared-memory step stays a single-word CAS/F&A; there is
+// WcqRing shares ScqRing's substrate (ScqRingCore in scq.hpp: geometry,
+// entry packing, head/tail/threshold, catchup, close) and its fast-path
+// protocol — F&A ticket, cycle/safe entry CAS, threshold-bounded EMPTY —
+// and adds the wCQ idea on top: when a thread runs out of patience (or is
+// descheduled forever), its operation is published as a *helping record*
+// that any other thread can finish.  Every shared-memory step stays a single-word CAS/F&A; there is
 // no CAS2 anywhere, matching the SCQ portability story.
 //
 // Helping protocol (the part beyond SCQ):
@@ -81,7 +82,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 
 #include "arch/backoff.hpp"
 #include "arch/cacheline.hpp"
@@ -89,7 +89,7 @@
 #include "arch/inject.hpp"
 #include "arch/thread_id.hpp"
 #include "queues/queue_common.hpp"
-#include "queues/scq.hpp"  // detail::kScqMsb
+#include "queues/scq.hpp"  // ScqRingCore, ScqValueQueue, ScqBoundedQueue
 
 namespace lcrq {
 
@@ -112,46 +112,33 @@ struct WcqConfig {
 
 inline constexpr std::size_t kWcqSlots = 64;
 
+// The wCQ ring: the SCQ substrate (scq.hpp) with a 24-bit gap in each
+// entry for helping notes, a CAS consume, patience loops and the helping
+// records.
 template <class Faa = HardwareFaa>
-class WcqRing {
+class WcqRing : public ScqRingCore<24> {
   public:
-    using Entry = std::atomic<std::uint64_t>;
-    static_assert(sizeof(Entry) == 8);
+    static constexpr const char* kName = "wcq";       // bounded queue
+    static constexpr const char* kListName = "lwcq";  // LinkedRing over wCQs
+    using FaaPolicy = Faa;
+    using Config = WcqConfig;
 
     explicit WcqRing(unsigned order, std::uint64_t seed_begin = 0,
-                     std::uint64_t seed_end = 0, WcqConfig cfg = {})
-        : cfg_(cfg),
-          order_(order),
-          capacity_(std::uint64_t{1} << order),
-          size_(capacity_ * 2),
-          mask_(size_ - 1),
-          idx_bits_(order + 1),
-          bottom_(size_ - 1),
-          threshold_full_(static_cast<std::int64_t>(3 * capacity_ - 1)) {
-        assert(order >= 1 && order <= 20 &&
-               "wcq entries carry 24 bits of helping metadata");
-        entries_ = check_alloc(aligned_array_alloc<Entry>(size_));
-        init_ring(seed_begin, seed_end);
-    }
+                     std::uint64_t seed_end = 0, WcqConfig cfg = {},
+                     bool huge = false)
+        : ScqRingCore(order, seed_begin, seed_end, huge), cfg_(cfg) {}
 
-    ~WcqRing() { aligned_array_free(entries_); }
-
-    WcqRing(const WcqRing&) = delete;
-    WcqRing& operator=(const WcqRing&) = delete;
-
-    // In-place reinit for segment recycling (cf. ScqRing::reset).  Also
-    // clears the helping records: a recycled ring must not resurrect a
-    // previous incarnation's requests.
-    void reset(std::uint64_t seed_begin = 0, std::uint64_t seed_end = 0,
-               WcqConfig cfg = {}) {
-        cfg_ = cfg;
+    // In-place reinit for segment recycling (cf. ScqRingCore::reset).
+    // Also clears the helping records: a recycled ring must not resurrect
+    // a previous incarnation's requests.  The tuning stays as constructed.
+    void reset(std::uint64_t seed_begin = 0, std::uint64_t seed_end = 0) {
         for (auto& rec : records_) {
             rec.req.store(0, std::memory_order_relaxed);
             rec.arg.store(0, std::memory_order_relaxed);
             rec.val.store(0, std::memory_order_relaxed);
         }
         slow_count_.store(0, std::memory_order_relaxed);
-        init_ring(seed_begin, seed_end);
+        ScqRingCore::reset(seed_begin, seed_end);
     }
 
     // --- public operations (ScqRing interface + helping) ------------------
@@ -221,34 +208,6 @@ class WcqRing {
         return dequeue_slow(out);
     }
 
-    void close() LCRQ_INJECT_NOEXCEPT {
-        counted_test_and_set_bit(*tail_, 63);
-        LCRQ_INJECT_POINT(kRingCloseCas);
-        stats::count(stats::Event::kCrqClose);
-    }
-
-    bool closed() const noexcept {
-        return (tail_->load(std::memory_order_seq_cst) & detail::kScqMsb) != 0;
-    }
-
-    std::uint64_t head_index() const noexcept {
-        return head_->load(std::memory_order_seq_cst);
-    }
-    std::uint64_t tail_index() const noexcept {
-        return tail_->load(std::memory_order_seq_cst) & ~detail::kScqMsb;
-    }
-    std::int64_t threshold() const noexcept {
-        return threshold_->load(std::memory_order_seq_cst);
-    }
-    std::uint64_t capacity() const noexcept { return capacity_; }
-
-    std::uint64_t approx_size() const noexcept {
-        const std::uint64_t t = tail_index();
-        const std::uint64_t h = head_index();
-        const std::uint64_t n = t > h ? t - h : 0;
-        return n < capacity_ ? n : capacity_;
-    }
-
     // Pending published requests (tests assert helping drains this).  May
     // over-count by one per thread killed between counting and publishing
     // a request (the kWcqSlowCounted window) — an over-count only costs
@@ -270,11 +229,6 @@ class WcqRing {
         return static_cast<unsigned>(
             req_state(records_[s].req.load(std::memory_order_seq_cst)));
     }
-
-    std::uint64_t debug_take_enqueue_ticket() {
-        return Faa::fetch_add(*tail_, 1) & ~detail::kScqMsb;
-    }
-    std::uint64_t debug_take_dequeue_ticket() { return Faa::fetch_add(*head_, 1); }
 
   private:
     // --- word layouts -----------------------------------------------------
@@ -344,34 +298,20 @@ class WcqRing {
         return w & kPayloadMask;
     }
 
-    // Entry bit positions (from LSB): idx, slot, tag, nkind, note, safe,
-    // cycle.
+    // Note fields in the entry's gap (from LSB): idx, slot, tag, nkind,
+    // note, then the substrate's safe bit and cycle.
+    static_assert(kSlotBits + kTagBits + 2 == 24);
     unsigned slot_shift() const noexcept { return idx_bits_; }
     unsigned tag_shift() const noexcept { return idx_bits_ + kSlotBits; }
     unsigned nkind_shift() const noexcept { return idx_bits_ + kSlotBits + kTagBits; }
     unsigned note_shift() const noexcept { return nkind_shift() + 1; }
-    unsigned safe_shift() const noexcept { return note_shift() + 1; }
-    unsigned cycle_shift() const noexcept { return safe_shift() + 1; }
 
-    std::uint64_t pack(std::uint64_t cycle, bool safe,
-                       std::uint64_t idx) const noexcept {
-        return (cycle << cycle_shift()) |
-               (safe ? (std::uint64_t{1} << safe_shift()) : 0) | idx;
-    }
     std::uint64_t pack_note(std::uint64_t cycle, bool safe, ReqKind kind,
                             std::uint64_t tag, std::uint64_t slot,
                             std::uint64_t idx) const noexcept {
-        return (cycle << cycle_shift()) |
-               (safe ? (std::uint64_t{1} << safe_shift()) : 0) |
-               (std::uint64_t{1} << note_shift()) |
+        return pack(cycle, safe, idx) | (std::uint64_t{1} << note_shift()) |
                (static_cast<std::uint64_t>(kind) << nkind_shift()) |
-               (tag << tag_shift()) | (slot << slot_shift()) | idx;
-    }
-    std::uint64_t cycle_of(std::uint64_t e) const noexcept {
-        return e >> cycle_shift();
-    }
-    bool is_safe(std::uint64_t e) const noexcept {
-        return (e & (std::uint64_t{1} << safe_shift())) != 0;
+               (tag << tag_shift()) | (slot << slot_shift());
     }
     bool is_note(std::uint64_t e) const noexcept {
         return (e & (std::uint64_t{1} << note_shift())) != 0;
@@ -385,15 +325,7 @@ class WcqRing {
     std::uint64_t note_slot(std::uint64_t e) const noexcept {
         return (e >> slot_shift()) & (kWcqSlots - 1);
     }
-    std::uint64_t index_of(std::uint64_t e) const noexcept { return e & bottom_; }
 
-    std::uint64_t cycle_of_ticket(std::uint64_t t) const noexcept {
-        return t >> idx_bits_;
-    }
-    std::uint64_t remap(std::uint64_t j) const noexcept {
-        if (idx_bits_ <= 3) return j;
-        return ((j << 3) | (j >> (idx_bits_ - 3))) & mask_;
-    }
     std::uint64_t unremap(std::uint64_t u) const noexcept {
         if (idx_bits_ <= 3) return u;
         return ((u >> 3) | (u << (idx_bits_ - 3))) & mask_;
@@ -401,32 +333,6 @@ class WcqRing {
     // The unique ticket a (cell, cycle) pair denotes — remap is bijective.
     std::uint64_t ticket_of(std::uint64_t cell, std::uint64_t cycle) const noexcept {
         return (cycle << idx_bits_) | unremap(cell);
-    }
-    Entry& entry_at(std::uint64_t t) noexcept {
-        return entries_[remap(t & mask_)];
-    }
-
-    void init_ring(std::uint64_t seed_begin, std::uint64_t seed_end) {
-        const std::uint64_t seeds = seed_end - seed_begin;
-        assert(seeds <= capacity_);
-        for (std::uint64_t u = 0; u < size_; ++u) {
-            entries_[u].store(pack(0, true, bottom_), std::memory_order_relaxed);
-        }
-        for (std::uint64_t i = 0; i < seeds; ++i) {
-            entries_[remap(i)].store(pack(1, true, seed_begin + i),
-                                     std::memory_order_relaxed);
-        }
-        head_->store(size_, std::memory_order_relaxed);
-        tail_->store(size_ + seeds, std::memory_order_relaxed);
-        threshold_->store(seeds != 0 ? threshold_full_ : -1,
-                          std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-    }
-
-    void rearm_threshold() {
-        if (threshold_->load(std::memory_order_seq_cst) != threshold_full_) {
-            threshold_->store(threshold_full_, std::memory_order_seq_cst);
-        }
     }
 
     // --- fast path (ScqRing verbatim, plus note awareness) ----------------
@@ -507,24 +413,6 @@ class WcqRing {
                 return false;
             }
             e = entry.load(std::memory_order_seq_cst);
-        }
-    }
-
-    bool exhaustion_final() const noexcept {
-        const std::uint64_t traw = tail_->load(std::memory_order_seq_cst);
-        if ((traw & detail::kScqMsb) == 0) return true;
-        return head_->load(std::memory_order_seq_cst) >=
-               (traw & ~detail::kScqMsb);
-    }
-
-    void catchup(std::uint64_t traw, std::uint64_t h) LCRQ_INJECT_NOEXCEPT {
-        LCRQ_INJECT_POINT(kScqCatchup);
-        for (;;) {
-            if ((traw & detail::kScqMsb) != 0) return;
-            if (traw >= h) return;
-            if (counted_cas(*tail_, traw, h)) return;
-            h = head_->load(std::memory_order_seq_cst);
-            traw = tail_->load(std::memory_order_seq_cst);
         }
     }
 
@@ -990,145 +878,18 @@ class WcqRing {
     }
 
     WcqConfig cfg_;
-    const unsigned order_;
-    const std::uint64_t capacity_;
-    const std::uint64_t size_;
-    const std::uint64_t mask_;
-    const unsigned idx_bits_;
-    const std::uint64_t bottom_;
-    const std::int64_t threshold_full_;
-    Entry* entries_;
-
-    CacheAligned<std::atomic<std::uint64_t>, kDestructivePairSize> head_{0};
-    CacheAligned<std::atomic<std::uint64_t>, kDestructivePairSize> tail_{0};
-    CacheAligned<std::atomic<std::int64_t>, kDestructivePairSize> threshold_{0};
     std::atomic<std::uint64_t> slow_count_{0};
     HelpRecord records_[kWcqSlots];
 };
 
-// The wCQ value queue: aq/fq pair of WcqRings over a plain data array,
-// exactly Scq's shape.  Both rings carry the helping layer, so slot
-// acquisition (fq) and publication (aq) both survive a descheduled peer.
+// The wCQ value queue and bounded queue: Scq's shape over WcqRings.  Both
+// rings carry the helping layer, so slot acquisition (fq) and publication
+// (aq) both survive a descheduled peer.
 template <class Faa = HardwareFaa>
-class Wcq {
-  public:
-    using Ring = WcqRing<Faa>;
-    static constexpr const char* kListName = "lwcq";  // LinkedRing over wCQs
-    using FaaPolicy = Faa;
+using Wcq = ScqValueQueue<WcqRing<Faa>>;
 
-    explicit Wcq(unsigned order, std::optional<value_t> first = std::nullopt,
-                 WcqConfig cfg = {})
-        : capacity_(std::uint64_t{1} << order),
-          aq_(order, 0, first.has_value() ? 1 : 0, cfg),
-          fq_(order, first.has_value() ? 1 : 0, capacity_, cfg) {
-        data_ = check_alloc(aligned_array_alloc<value_t>(capacity_));
-        if (first.has_value()) {
-            assert(is_enqueueable(*first));
-            data_[0] = *first;
-        }
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-    }
-
-    // As a list segment: capacity 2^opt.ring_order, helping configured
-    // by opt.wcq_patience / opt.wcq_helping.
-    explicit Wcq(const QueueOptions& opt, std::optional<value_t> first = std::nullopt)
-        : Wcq(opt.ring_order, first, WcqConfig::from(opt)) {}
-
-    ~Wcq() { aligned_array_free(data_); }
-
-    // In-place reinitialization for segment recycling (cf. Scq::reset);
-    // also clears the helping records.
-    void reset(const QueueOptions& opt, std::optional<value_t> first = std::nullopt) {
-        assert((std::uint64_t{1} << opt.ring_order) == capacity_);
-        const WcqConfig cfg = WcqConfig::from(opt);
-        aq_.reset(0, first.has_value() ? 1 : 0, cfg);
-        fq_.reset(first.has_value() ? 1 : 0, capacity_, cfg);
-        if (first.has_value()) {
-            assert(is_enqueueable(*first));
-            data_[0] = *first;
-        }
-        next.store(nullptr, std::memory_order_relaxed);
-        cluster.store(0, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-    }
-
-    Wcq(const Wcq&) = delete;
-    Wcq& operator=(const Wcq&) = delete;
-
-    EnqueueResult enqueue(value_t x) {
-        assert(is_enqueueable(x));
-        const auto idx = fq_.dequeue();
-        if (!idx.has_value()) return EnqueueResult::kFull;
-        data_[*idx] = x;
-        if (aq_.enqueue(*idx) == EnqueueResult::kClosed) {
-            fq_.enqueue(*idx);
-            return EnqueueResult::kClosed;
-        }
-        return EnqueueResult::kOk;
-    }
-
-    std::optional<value_t> dequeue() {
-        const auto idx = aq_.dequeue();
-        if (!idx.has_value()) return std::nullopt;
-        const value_t v = data_[*idx];
-        fq_.enqueue(*idx);
-        return v;
-    }
-
-    void close() LCRQ_INJECT_NOEXCEPT { aq_.close(); }
-    bool closed() const noexcept { return aq_.closed(); }
-
-    std::uint64_t capacity() const noexcept { return capacity_; }
-    std::uint64_t approx_size() const noexcept { return aq_.approx_size(); }
-
-    Ring& allocated_ring() noexcept { return aq_; }
-    Ring& free_ring() noexcept { return fq_; }
-
-    // Intrusive link and cluster tag used by LinkedRing; unused standalone.
-    std::atomic<Wcq*> next{nullptr};
-    std::atomic<int> cluster{0};
-
-  private:
-    const std::uint64_t capacity_;
-    Ring aq_;
-    Ring fq_;
-    value_t* data_;
-};
-
-// Standalone bounded MPMC queue over one Wcq (registry name "wcq"),
-// capacity 2^bounded_order; enqueue() applies backpressure on kFull, the
-// ring is never closed (cf. BasicScqQueue).
 template <class Faa = HardwareFaa>
-class BasicWcqQueue {
-  public:
-    static constexpr const char* kName = "wcq";
-
-    explicit BasicWcqQueue(const QueueOptions& opt = {})
-        : q_(opt.bounded_order, std::nullopt, WcqConfig::from(opt)) {}
-
-    void enqueue(value_t x) {
-        SpinWait waiter;
-        while (!try_enqueue(x)) waiter.spin();
-    }
-
-    bool try_enqueue(value_t x) {
-        return q_.enqueue(x) == EnqueueResult::kOk;
-    }
-
-    std::optional<value_t> dequeue() { return q_.dequeue(); }
-
-    // Never closed by the wrapper itself; probed by the blocking facade
-    // to tell a full refusal from a base().close() (cf. BasicScqQueue).
-    bool closed() const noexcept { return q_.closed(); }
-
-    std::uint64_t capacity() const noexcept { return q_.capacity(); }
-    std::uint64_t approx_size() const noexcept { return q_.approx_size(); }
-    Wcq<Faa>& base() noexcept { return q_; }
-
-  private:
-    Wcq<Faa> q_;
-};
-
+using BasicWcqQueue = ScqBoundedQueue<WcqRing<Faa>>;
 using WcqQueue = BasicWcqQueue<HardwareFaa>;
 
 }  // namespace lcrq

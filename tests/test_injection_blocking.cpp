@@ -164,7 +164,10 @@ TEST_F(InjectBlocking, KilledBoundedProducerUnwindKeepsFacadeUsable) {
 
 // Seeded random sweep over the bounded-enqueue wait window: tiny capacity
 // so producers constantly ride the watermark, random delays at every
-// facade and LSCQ point, full exactly-once FIFO accounting.
+// facade and LSCQ point, full exactly-once FIFO accounting.  Every seed
+// reaches the window by construction, however the delays fall: the
+// consumers start only once a producer has filled the queue and reached
+// its wait (otherwise they can keep pace and no producer ever blocks).
 TEST_F(InjectBlocking, RandomPerturbationSweepBoundedEnqueue) {
     constexpr int kProducers = 2;
     constexpr int kConsumers = 2;
@@ -189,6 +192,12 @@ TEST_F(InjectBlocking, RandomPerturbationSweepBoundedEnqueue) {
                 }
             } else {
                 auto& mine = received[static_cast<std::size_t>(id - kProducers)];
+                await([&] {
+                    for (int p = 0; p < kProducers; ++p) {
+                        if (ctl().visits(p, Point::kBlockWait) > 0) return true;
+                    }
+                    return false;
+                });
                 while (consumed.load(std::memory_order_acquire) < total) {
                     const WaitResult r = q.wait_dequeue_for(1'000'000);
                     if (!r.ok()) continue;

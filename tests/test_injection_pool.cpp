@@ -6,8 +6,11 @@
 // covered by ASan).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <chrono>
+#include <cstdio>
 #include <functional>
 #include <optional>
 #include <set>
@@ -201,6 +204,15 @@ TEST_F(InjectPool, ParkedHeadSwingCannotAbaAcrossRecycling) {
 // recording.  Every seed must stay linearizable, actually recycle, and
 // reclaim everything by the end.  Failures print their replay line.
 //
+// The workload recycles by construction, however the injected delays
+// fall: it runs in rounds, and each round's producers enqueue three
+// segments' worth of items while the consumers wait for a backlog of
+// more than two segments before they start.  So every round closes
+// segments, and the consumers drain the round to EMPTY (retiring those
+// segments into the pool) before the next round's appends.  Consumer
+// EMPTY answers stay in the history: the mid-round ones while they
+// outpace the producers, and one per consumer at each round's end.
+//
 // `cluster_of` maps a worker id to the (virtual) cluster it claims via
 // topo::set_current_cluster, so the same sweep runs both on the default
 // single-cluster shape and spread across a virtual topology whose ids
@@ -209,9 +221,15 @@ TEST_F(InjectPool, ParkedHeadSwingCannotAbaAcrossRecycling) {
 void recycling_sweep(const std::function<int(int)>& cluster_of) {
     constexpr int kProducers = 2;
     constexpr int kConsumers = 2;
-    constexpr std::uint64_t kPerProducer = 60;
-    constexpr std::uint64_t kTotal = kProducers * kPerProducer;
+    constexpr std::uint64_t kSegmentCapacity = 4;  // tiny_segments' order 2
+    constexpr std::uint64_t kRounds = 10;
+    constexpr std::uint64_t kPerRound = 6;  // per producer
+    constexpr std::uint64_t kRoundTotal = kProducers * kPerRound;
+    constexpr std::uint64_t kBacklog = 2 * kSegmentCapacity + 1;
+    static_assert(kRoundTotal > 2 * kSegmentCapacity && kBacklog <= kRoundTotal);
 
+    std::size_t min_empty = ~std::size_t{0};
+    std::size_t max_empty = 0;
     for (const std::uint64_t seed : test::inject_seeds(0x9001, 6)) {
         ctl().reset();
         ctl().arm_random(seed, /*delay_per_256=*/64);
@@ -220,29 +238,51 @@ void recycling_sweep(const std::function<int(int)>& cluster_of) {
 
         std::vector<verify::ThreadLog> logs;
         for (int t = 0; t < kProducers + kConsumers; ++t) logs.emplace_back(t);
+        std::atomic<std::uint64_t> produced{0};
         std::atomic<std::uint64_t> consumed{0};
+        std::barrier round_end(kProducers + kConsumers);
 
         run_threads(kProducers + kConsumers, [&](int id) {
             ctl().bind_thread(id);
             topo::set_current_cluster(cluster_of(id));
-            if (id < kProducers) {
-                for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-                    logs[static_cast<std::size_t>(id)].enqueue(
-                        q, tag(static_cast<unsigned>(id), i));
-                }
-            } else {
-                auto& log = logs[static_cast<std::size_t>(id)];
-                while (consumed.load(std::memory_order_acquire) < kTotal) {
-                    if (log.dequeue(q)) {
-                        consumed.fetch_add(1, std::memory_order_acq_rel);
+            auto& log = logs[static_cast<std::size_t>(id)];
+            for (std::uint64_t round = 0; round < kRounds; ++round) {
+                if (id < kProducers) {
+                    for (std::uint64_t i = 0; i < kPerRound; ++i) {
+                        log.enqueue(q, tag(static_cast<unsigned>(id),
+                                           round * kPerRound + i));
+                        produced.fetch_add(1, std::memory_order_acq_rel);
                     }
+                } else {
+                    await([&] {
+                        return produced.load(std::memory_order_acquire) >=
+                               round * kRoundTotal + kBacklog;
+                    });
+                    while (consumed.load(std::memory_order_acquire) <
+                           (round + 1) * kRoundTotal) {
+                        if (log.dequeue(q)) {
+                            consumed.fetch_add(1, std::memory_order_acq_rel);
+                        }
+                    }
+                    // Every item of the round is out and the producers
+                    // are done with it: the queue is empty.
+                    EXPECT_FALSE(log.dequeue(q)) << "round " << round;
                 }
+                round_end.arrive_and_wait();
             }
         });
 
         const auto history = verify::merge(logs);
         const auto r = verify::check_queue_fast(history);
         EXPECT_TRUE(r.ok) << r.error << "\nreplay: " << ctl().replay_hint();
+        const auto empties = static_cast<std::size_t>(std::count_if(
+            history.begin(), history.end(), [](const verify::Operation& op) {
+                return op.kind == verify::Operation::Kind::kDequeue &&
+                       op.value == verify::kEmpty;
+            }));
+        EXPECT_GE(empties, kRounds * kConsumers);
+        min_empty = std::min(min_empty, empties);
+        max_empty = std::max(max_empty, empties);
 
         const auto d = stats::global_snapshot() - before;
         EXPECT_GT(d[stats::Event::kSegmentReuse], 0u)
@@ -251,6 +291,8 @@ void recycling_sweep(const std::function<int(int)>& cluster_of) {
         EXPECT_EQ(q.hazard_domain().retired_count(), 0u)
             << "replay: " << ctl().replay_hint();
     }
+    std::printf("[ sweep    ] EMPTY results per seed: %zu..%zu\n", min_empty,
+                max_empty);
 }
 
 TEST_F(InjectPool, RandomPerturbationSweepRecyclingStaysLinearizable) {

@@ -272,7 +272,8 @@ TEST(Registry, HugeKnobResolvesAndComposes) {
     // resolves to the base entry, reports the requested spelling, and
     // composes as a final suffix with the digit knobs.
     for (const std::string name :
-         {"lcrq-huge", "lscq-huge", "lcrq-ml2-huge", "lscq-h100-huge"}) {
+         {"lcrq-huge", "lscq-huge", "lwcq-huge", "lcrq-ml2-huge",
+          "lscq-h100-huge"}) {
         auto q = make_queue(name);
         ASSERT_NE(q, nullptr) << name;
         EXPECT_EQ(q->name(), name);

@@ -1,8 +1,11 @@
-// SCQ ring and value-queue pair (queues/scq.hpp) plus the LSCQ list
-// (queues/lscq.hpp): the single-word entry invariant the backend exists
-// for, ring FIFO/wrap/threshold behaviour, the aq/fq slot-recycling
-// discipline, closed-segment semantics, and MPMC exchanges on both the
-// bounded queue and the unbounded list (with hazard reclamation).
+// The SCQ family (queues/scq.hpp, queues/wcq.hpp): one contract for
+// both rings (ScqRing, WcqRing), both aq/fq value queues (Scq, Wcq) and
+// both lists (LSCQ, LwCQ), typed over the family — the single-word entry
+// invariant the backend exists for, ring FIFO/wrap/threshold behaviour,
+// the aq/fq slot-recycling discipline, closed-segment semantics and list
+// turnover with hazard reclamation.  Then what only SCQ has: the bulk
+// paths, fetch-or consumes and the LSCQ variants.  wCQ's helping layer
+// is covered in test_wcq.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +15,9 @@
 
 #include "arch/counters.hpp"
 #include "queues/lscq.hpp"
+#include "queues/lwcq.hpp"
 #include "queues/scq.hpp"
+#include "queues/wcq.hpp"
 #include "test_support.hpp"
 
 namespace lcrq {
@@ -20,24 +25,32 @@ namespace {
 
 // The reason SCQ is here at all: every hot-path RMW is on one lock-free
 // 64-bit word.  If Entry ever grows past 8 bytes or loses lock-freedom,
-// the backend has silently reacquired CRQ's cmpxchg16b dependence.
+// the backend has silently reacquired CRQ's cmpxchg16b dependence.  The
+// wCQ portability claim matches SCQ's: helping metadata included, every
+// hot-path RMW stays on one lock-free 64-bit word.
 static_assert(sizeof(ScqRing<>::Entry) == 8);
+static_assert(sizeof(WcqRing<>::Entry) == 8);
 static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
 static_assert(BulkConcurrentQueue<ScqQueue>);
 static_assert(BulkConcurrentQueue<LscqQueue>);
 static_assert(BulkConcurrentQueue<LscqCasQueue>);
 static_assert(BulkConcurrentQueue<LscqNoReclaimQueue>);
 
-TEST(ScqEntry, AtomicEntryIsLockFreeAtRuntime) {
-    ScqRing<>::Entry e{0};
+// --- raw ring: ScqRing and WcqRing ----------------------------------------
+
+template <class Ring>
+class ScqFamilyRing : public ::testing::Test {};
+using Rings = ::testing::Types<ScqRing<>, WcqRing<>>;
+TYPED_TEST_SUITE(ScqFamilyRing, Rings, test::FamilyName);
+
+TYPED_TEST(ScqFamilyRing, AtomicEntryIsLockFreeAtRuntime) {
+    typename TypeParam::Entry e{0};
     EXPECT_TRUE(e.is_lock_free()) << "SCQ's portability claim needs a "
                                      "lock-free single-word entry";
 }
 
-// --- raw ring ------------------------------------------------------------
-
-TEST(ScqRing, FifoAcrossManyLaps) {
-    ScqRing<> r(2);  // capacity 4, ring of 8 entries
+TYPED_TEST(ScqFamilyRing, FifoAcrossManyLaps) {
+    TypeParam r(2);  // capacity 4, ring of 8 entries
     for (std::uint64_t lap = 0; lap < 16; ++lap) {
         for (std::uint64_t i = 0; i < 4; ++i) {
             ASSERT_EQ(r.enqueue(i), EnqueueResult::kOk);
@@ -49,8 +62,8 @@ TEST(ScqRing, FifoAcrossManyLaps) {
     }
 }
 
-TEST(ScqRing, EmptyRingAnswersEmptyViaThresholdFastPath) {
-    ScqRing<> r(2);
+TYPED_TEST(ScqFamilyRing, EmptyRingAnswersEmptyViaThresholdFastPath) {
+    TypeParam r(2);
     // A fresh unseeded ring starts with threshold -1: the first dequeue
     // answers EMPTY from one load, without burning a head ticket.
     EXPECT_LT(r.threshold(), 0);
@@ -59,8 +72,8 @@ TEST(ScqRing, EmptyRingAnswersEmptyViaThresholdFastPath) {
     EXPECT_EQ(r.head_index(), h) << "fast-path EMPTY must not take a ticket";
 }
 
-TEST(ScqRing, EnqueueRearmsThresholdTo3nMinus1) {
-    ScqRing<> r(2);  // n = 4
+TYPED_TEST(ScqFamilyRing, EnqueueRearmsThresholdTo3nMinus1) {
+    TypeParam r(2);  // n = 4
     ASSERT_EQ(r.enqueue(0), EnqueueResult::kOk);
     EXPECT_EQ(r.threshold(), 3 * 4 - 1);
     // Draining decrements it only on failed tickets; the consume itself
@@ -71,8 +84,8 @@ TEST(ScqRing, EnqueueRearmsThresholdTo3nMinus1) {
     EXPECT_LT(r.threshold(), 3 * 4 - 1);
 }
 
-TEST(ScqRing, SeededConstructionHoldsTheRange) {
-    ScqRing<> r(3, 2, 7);  // seeds 2..6
+TYPED_TEST(ScqFamilyRing, SeededConstructionHoldsTheRange) {
+    TypeParam r(3, 2, 7);  // seeds 2..6
     EXPECT_EQ(r.tail_index() - r.head_index(), 5u);
     for (std::uint64_t i = 2; i < 7; ++i) {
         ASSERT_EQ(r.dequeue().value_or(99), i);
@@ -80,8 +93,8 @@ TEST(ScqRing, SeededConstructionHoldsTheRange) {
     EXPECT_FALSE(r.dequeue().has_value());
 }
 
-TEST(ScqRing, CloseRefusesEnqueuesButDrains) {
-    ScqRing<> r(2);
+TYPED_TEST(ScqFamilyRing, CloseRefusesEnqueuesButDrains) {
+    TypeParam r(2);
     ASSERT_EQ(r.enqueue(1), EnqueueResult::kOk);
     ASSERT_EQ(r.enqueue(2), EnqueueResult::kOk);
     r.close();
@@ -94,8 +107,8 @@ TEST(ScqRing, CloseRefusesEnqueuesButDrains) {
     EXPECT_TRUE(r.closed());
 }
 
-TEST(ScqRing, StolenEnqueueTicketLeavesHoleDequeuersPass) {
-    ScqRing<> r(3);
+TYPED_TEST(ScqFamilyRing, StolenEnqueueTicketLeavesHoleDequeuersPass) {
+    TypeParam r(3);
     ASSERT_EQ(r.enqueue(1), EnqueueResult::kOk);
     r.debug_take_enqueue_ticket();  // claimed, never published
     ASSERT_EQ(r.enqueue(2), EnqueueResult::kOk);
@@ -104,6 +117,32 @@ TEST(ScqRing, StolenEnqueueTicketLeavesHoleDequeuersPass) {
     EXPECT_EQ(r.dequeue().value_or(0), 2u);
     EXPECT_FALSE(r.dequeue().has_value());
 }
+
+TYPED_TEST(ScqFamilyRing, ConcurrentIndexCirculation) {
+    // Indices 0..n-1 circulate through the ring under contention — the fq
+    // duty cycle.  Conservation: each index in flight exactly once.
+    TypeParam r(4, 0, 16);  // seeded full: 16 indices circulate
+    std::atomic<std::uint64_t> moves{0};
+    test::run_threads(4, [&](int) {
+        while (moves.load(std::memory_order_relaxed) < 40'000) {
+            if (auto idx = r.dequeue()) {
+                ASSERT_LT(*idx, 16u);
+                ASSERT_EQ(r.enqueue(*idx), EnqueueResult::kOk);
+                moves.fetch_add(1, std::memory_order_relaxed);
+            }
+        }
+    });
+    std::vector<bool> seen(16, false);
+    std::uint64_t count = 0;
+    while (auto idx = r.dequeue()) {
+        ASSERT_FALSE(seen[*idx]) << "index " << *idx << " duplicated";
+        seen[*idx] = true;
+        ++count;
+    }
+    EXPECT_EQ(count, 16u);
+}
+
+// --- SCQ-only ring paths: bulk claims -------------------------------------
 
 TEST(ScqRing, BulkClaimsCostOneFaaPerRound) {
     ScqRing<> r(5);  // capacity 32
@@ -145,34 +184,15 @@ TEST(ScqRing, EmptyBulkDequeueReturnsUnspentTickets) {
     for (std::uint64_t i = 0; i < 8; ++i) EXPECT_EQ(out[i], i);
 }
 
-TEST(ScqRing, ConcurrentIndexCirculation) {
-    // Indices 0..n-1 circulate through the ring under contention — the fq
-    // duty cycle.  Conservation: each index in flight exactly once.
-    ScqRing<> r(4, 0, 16);  // seeded full: 16 indices
-    std::atomic<std::uint64_t> moves{0};
-    test::run_threads(4, [&](int) {
-        while (moves.load(std::memory_order_relaxed) < 40'000) {
-            if (auto idx = r.dequeue()) {
-                ASSERT_LT(*idx, 16u);
-                ASSERT_EQ(r.enqueue(*idx), EnqueueResult::kOk);
-                moves.fetch_add(1, std::memory_order_relaxed);
-            }
-        }
-    });
-    std::vector<bool> seen(16, false);
-    std::uint64_t count = 0;
-    while (auto idx = r.dequeue()) {
-        ASSERT_FALSE(seen[*idx]) << "index " << *idx << " duplicated";
-        seen[*idx] = true;
-        ++count;
-    }
-    EXPECT_EQ(count, 16u);
-}
+// --- the aq/fq value queue: Scq and Wcq ----------------------------------
 
-// --- the aq/fq value queue ----------------------------------------------
+template <class Q>
+class ScqFamilyValueQueue : public ::testing::Test {};
+using ValueQueues = ::testing::Types<Scq<>, Wcq<>>;
+TYPED_TEST_SUITE(ScqFamilyValueQueue, ValueQueues, test::FamilyName);
 
-TEST(ScqValueQueue, RoundTripAndBackpressure) {
-    Scq<> q(2);  // capacity 4
+TYPED_TEST(ScqFamilyValueQueue, RoundTripAndBackpressure) {
+    TypeParam q(2);  // capacity 4
     EXPECT_EQ(q.capacity(), 4u);
     for (value_t v = 10; v < 14; ++v) {
         ASSERT_EQ(q.try_enqueue(v), ScqPutResult::kOk);
@@ -188,8 +208,8 @@ TEST(ScqValueQueue, RoundTripAndBackpressure) {
     EXPECT_FALSE(q.dequeue().has_value());
 }
 
-TEST(ScqValueQueue, SeededConstructionMatchesLscqAppend) {
-    Scq<> q(2, 42);
+TYPED_TEST(ScqFamilyValueQueue, SeededConstructionMatchesListAppend) {
+    TypeParam q(2, 42);
     EXPECT_EQ(q.approx_size(), 1u);
     EXPECT_EQ(q.dequeue().value_or(0), 42u);
     EXPECT_FALSE(q.dequeue().has_value());
@@ -200,8 +220,8 @@ TEST(ScqValueQueue, SeededConstructionMatchesLscqAppend) {
     EXPECT_EQ(q.try_enqueue(5), ScqPutResult::kFull);
 }
 
-TEST(ScqValueQueue, CloseRecyclesTheUnpublishedSlot) {
-    Scq<> q(2);
+TYPED_TEST(ScqFamilyValueQueue, CloseRecyclesTheUnpublishedSlot) {
+    TypeParam q(2);
     ASSERT_EQ(q.try_enqueue(1), ScqPutResult::kOk);
     q.close();
     EXPECT_TRUE(q.closed());
@@ -213,6 +233,8 @@ TEST(ScqValueQueue, CloseRecyclesTheUnpublishedSlot) {
     EXPECT_EQ(q.dequeue().value_or(0), 1u);
     EXPECT_FALSE(q.dequeue().has_value());
 }
+
+// --- SCQ-only value-queue paths: bulk -------------------------------------
 
 TEST(ScqValueQueue, BulkRoundTripCostsTwoFaasPerSide) {
     Scq<> q(6);  // capacity 64 = one chunk
@@ -274,12 +296,17 @@ TEST(ScqQueueTest, EnqueueSpinsThroughFullAndRecovers) {
     EXPECT_FALSE(q.dequeue().has_value());
 }
 
-// --- the LSCQ list -------------------------------------------------------
+// --- the list: LSCQ and LwCQ ----------------------------------------------
 
-TEST(LscqTest, FifoAcrossSegmentBoundaries) {
+template <class Q>
+class ScqFamilyList : public ::testing::Test {};
+using Lists = ::testing::Types<LscqQueue, LwcqQueue>;
+TYPED_TEST_SUITE(ScqFamilyList, Lists, test::FamilyName);
+
+TYPED_TEST(ScqFamilyList, FifoAcrossSegmentBoundaries) {
     QueueOptions opt;
     opt.ring_order = 2;  // segment capacity 4: constant turnover
-    LscqQueue q(opt);
+    TypeParam q(opt);
     for (value_t v = 1; v <= 40; ++v) q.enqueue(v);
     EXPECT_GT(q.segment_count(), 1u) << "tiny segments must have split";
     for (value_t v = 1; v <= 40; ++v) {
@@ -288,28 +315,30 @@ TEST(LscqTest, FifoAcrossSegmentBoundaries) {
     EXPECT_FALSE(q.dequeue().has_value());
 }
 
-TEST(LscqTest, ApproxSizeDuringRetirementStress) {
+TYPED_TEST(ScqFamilyList, ApproxSizeDuringRetirementStress) {
     QueueOptions opt;
     opt.ring_order = 2;
-    LscqQueue q(opt);
+    TypeParam q(opt);
     test::approx_size_during_retirement_stress(q, 4);
 }
 
-TEST(LscqTest, CloseIsAStickyBarrier) {
-    LscqQueue q;
+TYPED_TEST(ScqFamilyList, CloseIsAStickyBarrier) {
+    TypeParam q;
     q.enqueue(1);
     q.close();
     EXPECT_TRUE(q.closed());
     EXPECT_FALSE(q.try_enqueue(2));
-    EXPECT_FALSE(q.try_enqueue_bulk(std::vector<value_t>{3, 4}));
+    if constexpr (BulkConcurrentQueue<TypeParam>) {
+        EXPECT_FALSE(q.try_enqueue_bulk(std::vector<value_t>{3, 4}));
+    }
     EXPECT_EQ(q.dequeue().value_or(0), 1u);
     EXPECT_FALSE(q.dequeue().has_value());
 }
 
-TEST(LscqTest, SegmentTurnoverReclaimsThroughHazards) {
+TYPED_TEST(ScqFamilyList, SegmentTurnoverReclaimsThroughHazards) {
     QueueOptions opt;
     opt.ring_order = 2;
-    LscqQueue q(opt);
+    TypeParam q(opt);
     test::run_threads(2, [&](int id) {
         if (id == 0) {
             for (std::uint64_t i = 0; i < 20'000; ++i) q.enqueue(test::tag(0, i));
@@ -327,6 +356,19 @@ TEST(LscqTest, SegmentTurnoverReclaimsThroughHazards) {
     EXPECT_EQ(q.hazard_domain().retired_count(), 0u);
     EXPECT_LE(q.segment_count(), 3u);
 }
+
+TYPED_TEST(ScqFamilyList, ApproxSizeTracksOccupancyAcrossSegments) {
+    QueueOptions opt;
+    opt.ring_order = 2;
+    TypeParam q(opt);
+    EXPECT_EQ(q.approx_size(), 0u);
+    for (value_t v = 1; v <= 10; ++v) q.enqueue(v);
+    EXPECT_EQ(q.approx_size(), 10u);
+    for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.dequeue().has_value());
+    EXPECT_EQ(q.approx_size(), 0u);
+}
+
+// --- LSCQ-only: variants and fetch-or consumes ----------------------------
 
 TEST(LscqTest, MpmcExchangeAllVariants) {
     QueueOptions opt;
@@ -349,17 +391,6 @@ TEST(LscqTest, VariantNamesDistinguishPolicies) {
     EXPECT_EQ(LscqQueue::variant_name(), "lscq");
     EXPECT_EQ(LscqCasQueue::variant_name(), "lscq-cas");
     EXPECT_EQ(LscqNoReclaimQueue::variant_name(), "lscq-noreclaim");
-}
-
-TEST(LscqTest, ApproxSizeTracksOccupancyAcrossSegments) {
-    QueueOptions opt;
-    opt.ring_order = 2;
-    LscqQueue q(opt);
-    EXPECT_EQ(q.approx_size(), 0u);
-    for (value_t v = 1; v <= 10; ++v) q.enqueue(v);
-    EXPECT_EQ(q.approx_size(), 10u);
-    for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.dequeue().has_value());
-    EXPECT_EQ(q.approx_size(), 0u);
 }
 
 TEST(LscqTest, NoCas2OnAnyPath) {

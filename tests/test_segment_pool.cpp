@@ -1,6 +1,8 @@
 // Segment pool (segment_pool.hpp) and in-place ring reset: pool unit
-// behaviour (bounded capacity, ownership, concurrent push/pop), ScqRing /
-// Scq reset correctness, and end-to-end recycling through LSCQ.
+// behaviour (bounded capacity, ownership, concurrent push/pop), reset
+// correctness of the SCQ-family rings and value queues (ScqRing/WcqRing,
+// Scq/Wcq), their slab layer (home cluster, hugepages), and end-to-end
+// recycling through LSCQ.
 //
 // Deliberately TSan-eligible: everything here is dummy nodes or the
 // CAS2-free SCQ family (the LCRQ-side pool paths are covered in test_lcrq
@@ -18,12 +20,17 @@
 #include "queues/lscq.hpp"
 #include "queues/scq.hpp"
 #include "queues/segment_pool.hpp"
+#include "queues/wcq.hpp"
 #include "test_support.hpp"
 #include "topology/mem_policy.hpp"
 #include "topology/topology.hpp"
 
 namespace lcrq {
 namespace {
+
+// The SCQ family, typed: both rings, both aq/fq value queues.
+using Rings = ::testing::Types<ScqRing<HardwareFaa>, WcqRing<HardwareFaa>>;
+using ValueQueues = ::testing::Types<Scq<HardwareFaa>, Wcq<HardwareFaa>>;
 
 // Minimal poolable segment: an intrusive next link plus a live-instance
 // count so tests can see exactly when the pool deletes.
@@ -137,8 +144,12 @@ TEST(SegmentPool, ConcurrentChurnNeitherLosesNorDoubles) {
 
 // --- in-place reset ---------------------------------------------------------
 
-TEST(ScqRingReset, BehavesLikeFreshRing) {
-    ScqRing<HardwareFaa> ring(3);  // capacity 8
+template <class Ring>
+class ScqRingReset : public ::testing::Test {};
+TYPED_TEST_SUITE(ScqRingReset, Rings, test::FamilyName);
+
+TYPED_TEST(ScqRingReset, BehavesLikeFreshRing) {
+    TypeParam ring(3);  // capacity 8
     for (std::uint64_t i = 0; i < 8; ++i) {
         EXPECT_EQ(ring.enqueue(i), EnqueueResult::kOk);
     }
@@ -150,6 +161,13 @@ TEST(ScqRingReset, BehavesLikeFreshRing) {
 
     ring.reset();
     EXPECT_FALSE(ring.closed());
+    if constexpr (requires { ring.pending_requests(); }) {
+        // wCQ: a recycled ring must not resurrect its helping records.
+        EXPECT_EQ(ring.pending_requests(), 0u);
+        for (std::size_t s = 0; s < kWcqSlots; ++s) {
+            EXPECT_EQ(ring.debug_record_state(s), 0u) << "record " << s;
+        }
+    }
     EXPECT_FALSE(ring.dequeue().has_value()) << "reset ring must be empty";
     for (std::uint64_t i = 0; i < 8; ++i) {
         EXPECT_EQ(ring.enqueue(7 - i), EnqueueResult::kOk);
@@ -160,8 +178,8 @@ TEST(ScqRingReset, BehavesLikeFreshRing) {
     EXPECT_FALSE(ring.dequeue().has_value());
 }
 
-TEST(ScqRingReset, SeededResetMatchesSeededConstruction) {
-    ScqRing<HardwareFaa> ring(2, 0, 4);  // fq shape: holds 0..3
+TYPED_TEST(ScqRingReset, SeededResetMatchesSeededConstruction) {
+    TypeParam ring(2, 0, 4);  // fq shape: holds 0..3
     for (std::uint64_t i = 0; i < 4; ++i) {
         EXPECT_EQ(ring.dequeue().value_or(99), i);
     }
@@ -326,8 +344,32 @@ TEST(SegmentPool, FilesBySegmentHomeClusterWhenExposed) {
     topo::set_current_cluster(0);
 }
 
-TEST(ScqReset, DrainedClosedSegmentRecyclesToSeededState) {
-    Scq<HardwareFaa> q(2);
+// The same filing for the real segments: an Scq or Wcq allocated on
+// cluster 1 and parked from cluster 3 lands in shard 1.
+template <class Seg>
+class SegmentHomeFiling : public ::testing::Test {};
+TYPED_TEST_SUITE(SegmentHomeFiling, ValueQueues, test::FamilyName);
+
+TYPED_TEST(SegmentHomeFiling, FilesBySegmentHomeClusterWhenExposed) {
+    SegmentPool<TypeParam> pool(8);
+    topo::set_current_cluster(1);
+    auto* seg = new TypeParam(2);
+    topo::set_current_cluster(3);
+    EXPECT_TRUE(pool.push(seg));
+    EXPECT_EQ(pool.shard_size(1), 1u);
+    EXPECT_EQ(pool.shard_size(3), 0u);
+    topo::set_current_cluster(1);
+    EXPECT_EQ(pool.try_pop(), seg);
+    delete seg;
+    topo::set_current_cluster(0);
+}
+
+template <class Q>
+class ScqReset : public ::testing::Test {};
+TYPED_TEST_SUITE(ScqReset, ValueQueues, test::FamilyName);
+
+TYPED_TEST(ScqReset, DrainedClosedSegmentRecyclesToSeededState) {
+    TypeParam q(2);
     for (value_t v = 10; v < 14; ++v) {
         EXPECT_EQ(q.try_enqueue(v), ScqPutResult::kOk);
     }
@@ -336,7 +378,7 @@ TEST(ScqReset, DrainedClosedSegmentRecyclesToSeededState) {
     }
     q.close();
     EXPECT_TRUE(q.closed());
-    q.next.store(reinterpret_cast<Scq<HardwareFaa>*>(0x1), std::memory_order_relaxed);
+    q.next.store(reinterpret_cast<TypeParam*>(0x1), std::memory_order_relaxed);
 
     // As LSCQ appends: "initialized to contain x".
     q.reset(QueueOptions{.ring_order = 2}, value_t{42});
@@ -424,12 +466,16 @@ TEST(LscqSegmentPool, VariantNames) {
 
 // --- NUMA-local substrate ---------------------------------------------------
 
-TEST(ScqHomeCluster, RecordsAllocatingCluster) {
+template <class Q>
+class ScqHomeCluster : public ::testing::Test {};
+TYPED_TEST_SUITE(ScqHomeCluster, ValueQueues, test::FamilyName);
+
+TYPED_TEST(ScqHomeCluster, RecordsAllocatingCluster) {
     // The allocating thread's cluster is the segment's home for the rest
     // of its life (reset never moves the memory); a virtual-topology
     // cluster id beyond the host's shape must be recorded verbatim.
     topo::set_current_cluster(5);
-    Scq<HardwareFaa> q(2);
+    TypeParam q(2);
     EXPECT_EQ(q.home_cluster(), 5);
     q.reset(QueueOptions{.ring_order = 2}, value_t{9});
     EXPECT_EQ(q.home_cluster(), 5);
@@ -479,9 +525,13 @@ TEST(HugeSegments, SlabAllocHonorsForceNoThp) {
     ::unsetenv("LCRQ_FORCE_NO_THP");
 }
 
-TEST(HugeSegments, ForcedFallbackRingStaysPlainAndCorrect) {
+template <class Q>
+class HugeSegments : public ::testing::Test {};
+TYPED_TEST_SUITE(HugeSegments, ValueQueues, test::FamilyName);
+
+TYPED_TEST(HugeSegments, ForcedFallbackRingStaysPlainAndCorrect) {
     ::setenv("LCRQ_FORCE_NO_THP", "1", 1);
-    Scq<HardwareFaa> q(kHugeMinRingOrder, std::nullopt, /*huge=*/true);
+    TypeParam q(kHugeMinRingOrder, std::nullopt, /*huge=*/true);
     EXPECT_FALSE(q.huge_backed());
     for (value_t v = 0; v < 100; ++v) {
         EXPECT_EQ(q.try_enqueue(v), ScqPutResult::kOk);
@@ -492,22 +542,26 @@ TEST(HugeSegments, ForcedFallbackRingStaysPlainAndCorrect) {
     ::unsetenv("LCRQ_FORCE_NO_THP");
 }
 
-TEST(HugeSegments, SmallRingsNeverAskForHugepages) {
+TYPED_TEST(HugeSegments, SmallRingsNeverAskForHugepages) {
     // Below kHugeMinRingOrder the 2 MiB rounding would waste more memory
     // than the dTLB entries it saves: the opt-in is ignored.
-    Scq<HardwareFaa> q(2, std::nullopt, /*huge=*/true);
+    TypeParam q(2, std::nullopt, /*huge=*/true);
     EXPECT_FALSE(q.huge_backed());
     EXPECT_EQ(q.try_enqueue(7), ScqPutResult::kOk);
     EXPECT_EQ(q.dequeue().value_or(0), 7u);
 }
 
-TEST(HugeSegments, OptInLargeRingWorksWithOrWithoutThp) {
+TYPED_TEST(HugeSegments, OptInLargeRingWorksWithOrWithoutThp) {
     // Whether this host grants THP or not, the opt-in ring must behave
     // identically; when it is granted, the kSegmentHuge counter records
-    // the mapping.
+    // the mapping.  (Scq and Wcq share one slab layer: neither may drop
+    // the request.)
     const auto before = stats::global_snapshot();
-    Scq<HardwareFaa> q(kHugeMinRingOrder, std::nullopt, /*huge=*/true);
+    TypeParam q(kHugeMinRingOrder, std::nullopt, /*huge=*/true);
     const auto d = stats::global_snapshot() - before;
+    if (mem::thp_available()) {
+        EXPECT_TRUE(q.huge_backed());
+    }
     if (q.huge_backed()) {
         EXPECT_GE(d[stats::Event::kSegmentHuge], 1u);
     }

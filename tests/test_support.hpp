@@ -199,6 +199,20 @@ void approx_size_during_retirement_stress(Q& q, std::uint64_t ring_size) {
     EXPECT_EQ(q.approx_size(), 0u);
 }
 
+// Typed-suite name generator: a queue's registry name, or for an SCQ-family
+// value queue its ring's ("scq", "wcq"), so typed cases read
+// ScqFamilyRing/wcq.FifoAcrossManyLaps instead of ScqFamilyRing/1.
+struct FamilyName {
+    template <class T>
+    static std::string GetName(int) {
+        if constexpr (requires { T::kName; }) {
+            return T::kName;
+        } else {
+            return T::Ring::kName;
+        }
+    }
+};
+
 // --- schedule-injection replay flags ---------------------------------------
 //
 // The injection suites (built with -DLCRQ_INJECT=ON) sweep random seeds;
