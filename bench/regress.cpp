@@ -1,5 +1,5 @@
 // Canonical regression-gating driver: sweeps the registry line-up across
-// workloads and thread counts at laptop scale and writes three
+// workloads and thread counts at laptop scale and writes eight
 // machine-readable artifacts at --out-dir (default: the current
 // directory, i.e. the repo root when run from it):
 //
@@ -41,12 +41,17 @@
 //                          Each non-baseline queue also gets a
 //                          "stall_p99_ratio" comparator entry against
 //                          the first queue in --stall-queues.
+//   BENCH_dispatch.json  — open-loop Poisson offered-load sweep against the
+//                          bounded BlockingQueue facade per backend: e2e
+//                          latency from intended arrival, shed and
+//                          deadline-miss rates, plus a "dispatch_slo"
+//                          row carrying max_sustainable_mops.
 //   BENCH_ring_autotune.json — fig9 ring-order sweep per queue joining
 //                          throughput with segment_reuse_rate and the
 //                          dTLB/LLC per-op miss rates, plus a
 //                          "ring_autotune_pick" row recommending the
 //                          smallest order within tolerance of the best
-//                          (validated by scripts/ring_autotune.py).
+//                          (pick_ring_order, bench_framework/report.hpp).
 //
 // scripts/bench_compare.py diffs two generations of these files using
 // each metric's recorded cv and exits nonzero on a regression, so every
@@ -126,8 +131,8 @@ double run_bulk_once(AnyQueue& q, int threads, std::size_t batch,
 
 int main(int argc, char** argv) {
     Cli cli("regress",
-            "Canonical machine-readable sweep: writes BENCH_queue_ops.json, "
-            "BENCH_bulk_ops.json, BENCH_latency.json for regression gating");
+            "Canonical machine-readable sweep: writes the eight BENCH_*.json "
+            "artifacts for regression gating");
     cli.flag("queues", "lcrq,lcrq-cas,lscq,scq,ms,cc-queue",
              "registry names to sweep (comma-separated)");
     cli.flag("thread-list", "1,2,4", "thread counts to sweep");
@@ -723,13 +728,9 @@ int main(int argc, char** argv) {
     // ring's footprint thrashing translation?).  The prefill holds a
     // standing population of ~3 rings so every order exercises close +
     // append + pool reuse, not just the fast path.  Each queue also gets
-    // a "ring_autotune_pick" row with the recommended order: the
-    // *smallest* order whose mean throughput is within
-    // --autotune-tolerance-pct of the best — bigger rings cost dTLB
-    // reach and pool memory, so ties go to small.
-    // scripts/ring_autotune.py re-derives the pick from the sweep rows
-    // and fails if the two disagree; scripts/bench_compare.py gates the
-    // recommended order and the miss rates across generations.
+    // a "ring_autotune_pick" row with the order pick_ring_order()
+    // recommends at --autotune-tolerance-pct; scripts/bench_compare.py
+    // gates the recommended order and the miss rates across generations.
     if (!autotune_queues.empty() && !autotune_orders.empty()) {
         RunConfig at_cfg = base;
         at_cfg.threads = autotune_threads;
@@ -739,12 +740,11 @@ int main(int argc, char** argv) {
         report.set_extra("queues", string_list_json(autotune_queues));
         report.set_extra("order_list", int_list_json(autotune_orders));
         report.set_extra("tolerance_pct", Json(autotune_tol_pct));
+        const auto cell = [](const Json& v) {
+            return v.is_number() ? format_double(v.as_double(), 4) : std::string("n/a");
+        };
         for (const auto& name : autotune_queues) {
-            struct SweepPoint {
-                std::int64_t order;
-                double mean;
-            };
-            std::vector<SweepPoint> sweep;
+            std::vector<RingOrderPoint> sweep;
             for (std::int64_t order : autotune_orders) {
                 QueueOptions at_opt = qopt;
                 at_opt.ring_order = static_cast<unsigned>(order);
@@ -756,44 +756,34 @@ int main(int argc, char** argv) {
                                  name.c_str());
                     return 1;
                 }
-                report.add_result(result_json(name, cfg, r)
-                                      .set("experiment", "ring_autotune")
-                                      .set("ring_order", order));
-                std::printf("autotune   %-10s R=2^%-2lld  %s\n", name.c_str(),
-                            static_cast<long long>(order),
-                            throughput_cell(r).c_str());
+                Json row = result_json(name, cfg, r)
+                               .set("experiment", "ring_autotune")
+                               .set("ring_order", order);
+                std::printf("autotune   %-10s R=2^%-2lld  %s  reuse %s  dTLB/op %s  "
+                            "LLC/op %s\n",
+                            name.c_str(), static_cast<long long>(order),
+                            throughput_cell(r).c_str(),
+                            cell(row.at("counters").at("derived").at(
+                                     "segment_reuse_rate")).c_str(),
+                            cell(row.at("hw").at("dtlb_miss_per_op")).c_str(),
+                            cell(row.at("hw").at("llc_miss_per_op")).c_str());
+                report.add_result(std::move(row));
                 sweep.push_back({order, r.throughput.mean()});
             }
-            double best_mean = 0;
-            std::int64_t best_order = sweep.front().order;
-            for (const auto& p : sweep) {
-                if (p.mean > best_mean) {
-                    best_mean = p.mean;
-                    best_order = p.order;
-                }
-            }
-            // Orders were swept ascending: the first within-tolerance
-            // point is the smallest.
-            std::int64_t pick = best_order;
-            for (const auto& p : sweep) {
-                if (p.mean >= best_mean * (1.0 - autotune_tol_pct / 100.0)) {
-                    pick = p.order;
-                    break;
-                }
-            }
+            const RingOrderPick pick = pick_ring_order(sweep, autotune_tol_pct);
             report.add_result(Json::object()
                                   .set("experiment", "ring_autotune_pick")
                                   .set("queue", name)
                                   .set("threads", static_cast<std::int64_t>(
                                                       autotune_threads))
-                                  .set("recommended_ring_order", pick)
-                                  .set("best_ring_order", best_order)
-                                  .set("best_mean_ops_per_sec", best_mean)
+                                  .set("recommended_ring_order", pick.recommended_order)
+                                  .set("best_ring_order", pick.best_order)
+                                  .set("best_mean_ops_per_sec", pick.best_mean_ops_per_sec)
                                   .set("tolerance_pct", autotune_tol_pct));
             std::printf("autotune   %-10s recommend R=2^%lld (best 2^%lld, "
                         "tol %.0f%%)\n",
-                        name.c_str(), static_cast<long long>(pick),
-                        static_cast<long long>(best_order), autotune_tol_pct);
+                        name.c_str(), static_cast<long long>(pick.recommended_order),
+                        static_cast<long long>(pick.best_order), autotune_tol_pct);
         }
         if (!report.write(out_path("BENCH_ring_autotune.json"))) return 1;
     }

@@ -2,68 +2,14 @@
 """Noise-aware diff of two BENCH_*.json benchmark artifacts.
 
 Usage:
-    bench_compare.py BASELINE.json NEW.json [options]
+    bench_compare.py BASELINE.json NEW.json
     bench_compare.py --self-check
 
 Each artifact is a schema-versioned report written by the bench binaries
 (bench/regress or any binary's --json flag; schema reference in
 EXPERIMENTS.md).  Result entries are matched on their key fields (queue,
-workload, threads, batch, ...) and three regression rules are applied:
-
-  * throughput:  mean drop        >  max(--throughput-pct, 3 * cv)
-                 where cv is the larger recorded run-to-run coefficient of
-                 variation of the two artifacts (the noise model: a drop
-                 must clear both the floor and three sigmas of measured
-                 run noise);
-  * atomics/op:  growth           >  max(--atomics-pct, small abs slack)
-                 (software counters are near-deterministic, so this is
-                 tight);
-  * latency p99: growth           >  --latency-pct AND > --latency-abs-ns
-                 (timing tails are the noisiest metric; both a relative
-                 and an absolute bar must be cleared);
-  * tickets/F&A: shrink           >  --tickets-pct (with small abs slack)
-                 on entries carrying bulk.tickets_per_faa — the batched
-                 paths' whole point is many tickets per F&A, so losing
-                 amortization is a regression even when throughput noise
-                 hides it;
-  * CAS failure rate: growth      >  --cas-fail-pct plus an absolute
-                 slack of 0.02, on counters.derived.cas_failure_rate —
-                 a contention-behavior canary: more failed CAS per
-                 attempt means more wasted coherence traffic at the same
-                 op count;
-  * lane steal rate: growth       >  --lane-steal-pct plus an absolute
-                 slack of 0.02, on counters.derived.lane_steal_rate
-                 (multilane front-ends only; the entry carries the
-                 metric iff the queue has lanes) — a lane-balance
-                 canary: dequeues drifting from local hits to steals
-                 means the home-lane mapping or the steal hint rotted,
-                 trading coordination-free locality for scan traffic;
-  * cluster handoff rate: growth  >  --handoff-pct plus an absolute
-                 slack of 0.02, on counters.derived.cluster_handoff_rate
-                 (hierarchical -h variants only; the entry carries the
-                 metric iff the queue runs the hierarchy policy) — the
-                 §4.1.1 batching canary: enters resolving by timeout
-                 claims instead of same-cluster hits or handovers means
-                 the cluster batching rotted and the segment's cache
-                 lines are ping-ponging again;
-  * stall p99:   growth           >  max(--stall-pct, 3 * cv)
-                 on p99.mean_ns of stall_latency entries
-                 (BENCH_stall_latency.json: per-run p99 under CPU-hog
-                 preemption, aggregated as mean + cv over runs).  The cv
-                 is of the p99 STATISTIC across runs, so the rule reads
-                 "the tail moved more than the floor and three sigmas of
-                 its own run noise" — the gate that keeps the wait-free
-                 backends' bounded-stall win from quietly eroding.  The
-                 companion stall_p99_ratio entries (tail inflation vs
-                 the baseline queue) are gated with the same percentage.
-  * dispatch SLO (BENCH_dispatch.json, open-loop macro-bench):
-                 e2e.p99_ns growth > --slo-pct AND > --slo-abs-ns (end-to-
-                 end latency from intended arrival is the noisiest tail of
-                 all — both bars must clear); shed_rate and
-                 deadline_miss_rate growth > --shed-pct plus 0.05 absolute
-                 slack; max_sustainable_mops (the dispatch_slo summary
-                 row: highest offered load meeting the p99 target) shrink
-                 > --sustain-pct plus 0.1 absolute slack.
+workload, threads, batch, ...) and every row of RULES below is applied to
+each matched pair; a row's comment says why its limits are what they are.
 
 Data that is missing on one side only is itself a finding: a null metric
 in NEW where BASELINE had a number means a run stopped producing data and
@@ -79,6 +25,7 @@ import math
 import os
 import sys
 import tempfile
+from collections import namedtuple
 
 SCHEMA_VERSION = 1
 KEY_FIELDS = (
@@ -97,6 +44,69 @@ KEY_FIELDS = (
     "workers",
     "offered_mops",
     "capacity",
+)
+
+# One regression rule.  `better` is "lower" or "higher"; `shape` is how a
+# move in the worse direction is judged against `rel` (a fraction) and
+# `abs` (in the metric's unit):
+#   slack  worse than base * (1 + rel) + abs      (mirrored for "higher")
+#   both   relative move > rel AND absolute move > abs
+#   cv     relative move > max(rel, 3 * cv), cv the larger of the two
+#          artifacts' values at `cv` (a floor widened by three sigmas of
+#          measured run noise)
+#   data   only a vanished number flags
+# Under every shape a number present in BASELINE and null in NEW flags.
+Rule = namedtuple("Rule", "path label better shape rel abs cv", defaults=(None,))
+
+RULES = (
+    # Headline throughput: a drop must clear both the floor and three
+    # sigmas of run-to-run noise.
+    Rule("throughput.mean_ops_per_sec", "throughput", "higher", "cv", 0.05, 0.0,
+         "throughput.cv"),
+    # Software counters are near-deterministic, so this is tight.
+    Rule("counters.derived.atomics_per_op", "atomics/op", "lower", "slack", 0.05, 0.02),
+    # Timing tails are the noisiest closed-loop metric: both a relative and
+    # an absolute bar must be cleared.
+    Rule("latency.p99_ns", "p99 latency", "lower", "both", 0.50, 200.0),
+    # Contention canary: more failed CAS per attempt means more wasted
+    # coherence traffic at the same op count.
+    Rule("counters.derived.cas_failure_rate", "CAS failure rate", "lower", "slack",
+         0.25, 0.02),
+    # Multilane lane-balance canary: dequeues drifting from local hits to
+    # steals means the home-lane mapping or the steal hint rotted.
+    Rule("counters.derived.lane_steal_rate", "lane steal rate", "lower", "slack",
+         0.25, 0.02),
+    # §4.1.1 batching canary (-h variants): enters resolving by timeout
+    # claims instead of same-cluster hits means the segment's cache lines
+    # ping-pong again.
+    Rule("counters.derived.cluster_handoff_rate", "cluster handoff rate", "lower",
+         "slack", 0.25, 0.02),
+    # The batched paths' whole point is many tickets per F&A: losing
+    # amortization is a regression even when throughput noise hides it.
+    Rule("bulk.tickets_per_faa", "tickets/F&A", "higher", "slack", 0.10, 0.05),
+    # PMU counts on a shared host swing with co-tenants, so only a blowup
+    # flags: the ring stopped fitting its dTLB reach, or the working set
+    # fell out of LLC.
+    Rule("hw.dtlb_miss_per_op", "dTLB misses/op", "lower", "slack", 0.50, 0.5),
+    Rule("hw.llc_miss_per_op", "LLC misses/op", "lower", "slack", 0.50, 0.5),
+    # Autotune pick creeping up: each +1 order doubles segment memory for
+    # the same throughput.
+    Rule("recommended_ring_order", "recommended ring order", "lower", "slack", 0.0, 2.0),
+    # wCQ's bounded-stall win (Nikolaev & Ravindran, arXiv 2201.02179): p99
+    # under CPU-hog preemption, whose cv is of the p99 statistic across runs.
+    Rule("p99.mean_ns", "stall p99", "lower", "cv", 0.10, 0.0, "p99.cv"),
+    # The same win as a ratio against the baseline queue's tail.
+    Rule("p99_ratio", "stall p99 ratio", "lower", "slack", 0.10, 0.02),
+    # Open-loop e2e latency includes queueing delay and OS scheduling, far
+    # noisier than closed-loop service time: both wide bars must clear.
+    Rule("e2e.p99_ns", "e2e p99", "lower", "both", 0.75, 250000.0),
+    # Backpressure discarding requests the baseline served is a capacity
+    # loss even when the survivors' latency looks fine.
+    Rule("shed_rate", "shed rate", "lower", "slack", 0.50, 0.05),
+    Rule("deadline_miss_rate", "deadline miss rate", "lower", "slack", 0.50, 0.05),
+    # dispatch_slo summary: highest offered load meeting the p99 target.
+    Rule("max_sustainable_mops", "max sustainable Mops", "higher", "slack", 0.50, 0.1),
+    Rule("ns_per_op", "ns_per_op", "lower", "data", 0.0, 0.0),
 )
 
 
@@ -135,313 +145,86 @@ def index_results(doc):
     return index
 
 
-def get_path(entry, dotted):
+def number_at(entry, dotted):
     node = entry
     for part in dotted.split("."):
         if not isinstance(node, dict) or part not in node:
             return None
         node = node[part]
-    return node
+    if isinstance(node, (int, float)) and math.isfinite(node):
+        return float(node)
+    return None
 
 
-def as_number(value):
-    if isinstance(value, (int, float)) and math.isfinite(value):
-        return float(value)
+def judge(rule, base, new):
+    """The regression message for one rule on one pair, or None."""
+    b = number_at(base, rule.path)
+    n = number_at(new, rule.path)
+    if b is None:
+        return None
+    if n is None:
+        return f"{rule.label} disappeared (baseline had data, new is null)"
+    lower = rule.better == "lower"
+    if rule.shape == "slack":
+        if lower and n > b * (1.0 + rule.rel) + rule.abs:
+            verb = "grew"
+        elif not lower and n < b * (1.0 - rule.rel) - rule.abs:
+            verb = "shrank"
+        else:
+            return None
+        return (f"{rule.label} {verb} {b:.3f} -> {n:.3f} "
+                f"(limit {100 * rule.rel:.0f}% + {rule.abs})")
+    if rule.shape == "data" or b <= 0:
+        return None
+    delta = n - b if lower else b - n
+    move = delta / b
+    verb = "grew" if lower else "dropped"
+    if rule.shape == "both":
+        if move > rule.rel and delta > rule.abs:
+            return (f"{rule.label} {verb} {100 * move:.0f}% ({b:.6g} -> {n:.6g}; "
+                    f"limit {100 * rule.rel:.0f}% and {rule.abs:g})")
+        return None
+    cv = max(number_at(base, rule.cv) or 0.0, number_at(new, rule.cv) or 0.0)
+    limit = max(rule.rel, 3.0 * cv)
+    if move > limit:
+        return (f"{rule.label} {verb} {100 * move:.1f}% ({b:.6g} -> {n:.6g}; "
+                f"limit {100 * limit:.1f}% = max({100 * rule.rel:.0f}%, "
+                f"3*cv {100 * cv:.1f}%))")
     return None
 
 
 class Comparison:
-    def __init__(self, args):
-        self.args = args
+    def __init__(self):
         self.regressions = []
         self.notes = []
         self.compared = 0
 
-    def flag(self, key, message):
-        self.regressions.append(f"{key}: {message}")
-
-    def note(self, message):
-        self.notes.append(message)
-
     def check_pair(self, key, base, new):
         self.compared += 1
-        self.check_throughput(key, base, new)
-        self.check_metric_growth(
-            key,
-            base,
-            new,
-            "counters.derived.atomics_per_op",
-            "atomics/op",
-            rel_limit=self.args.atomics_pct / 100.0,
-            abs_slack=0.02,
-        )
-        self.check_latency(key, base, new)
-        self.check_metric_growth(
-            key,
-            base,
-            new,
-            "counters.derived.cas_failure_rate",
-            "CAS failure rate",
-            rel_limit=self.args.cas_fail_pct / 100.0,
-            abs_slack=0.02,
-        )
-        self.check_metric_growth(
-            key,
-            base,
-            new,
-            "counters.derived.lane_steal_rate",
-            "lane steal rate",
-            rel_limit=self.args.lane_steal_pct / 100.0,
-            abs_slack=0.02,
-        )
-        self.check_metric_growth(
-            key,
-            base,
-            new,
-            "counters.derived.cluster_handoff_rate",
-            "cluster handoff rate",
-            rel_limit=self.args.handoff_pct / 100.0,
-            abs_slack=0.02,
-        )
-        self.check_metric_shrink(
-            key,
-            base,
-            new,
-            "bulk.tickets_per_faa",
-            "tickets/F&A",
-            rel_limit=self.args.tickets_pct / 100.0,
-            abs_slack=0.05,
-        )
-        # Hardware translation/cache health (ring_autotune and table rows
-        # with a measured hw block).  Wide limits: PMU counts on a shared
-        # host swing with co-tenants, so only a blowup — the ring stopped
-        # fitting its dTLB reach, the working set fell out of LLC — flags.
-        self.check_metric_growth(
-            key,
-            base,
-            new,
-            "hw.dtlb_miss_per_op",
-            "dTLB misses/op",
-            rel_limit=self.args.hw_miss_pct / 100.0,
-            abs_slack=0.5,
-        )
-        self.check_metric_growth(
-            key,
-            base,
-            new,
-            "hw.llc_miss_per_op",
-            "LLC misses/op",
-            rel_limit=self.args.hw_miss_pct / 100.0,
-            abs_slack=0.5,
-        )
-        # Autotuner pick rows: the recommended order creeping *up* means
-        # the queue now needs a bigger ring for the same throughput —
-        # each +1 doubles segment memory, so a jump past the slack is a
-        # substrate regression even if peak throughput held.
-        self.check_metric_growth(
-            key,
-            base,
-            new,
-            "recommended_ring_order",
-            "recommended ring order",
-            rel_limit=0.0,
-            abs_slack=self.args.autotune_order_slack,
-        )
-        self.check_stall_p99(key, base, new)
-        self.check_metric_growth(
-            key,
-            base,
-            new,
-            "p99_ratio",
-            "stall p99 ratio",
-            rel_limit=self.args.stall_pct / 100.0,
-            abs_slack=0.02,
-        )
-        self.check_dispatch_p99(key, base, new)
-        self.check_metric_growth(
-            key,
-            base,
-            new,
-            "shed_rate",
-            "shed rate",
-            rel_limit=self.args.shed_pct / 100.0,
-            abs_slack=0.05,
-        )
-        self.check_metric_growth(
-            key,
-            base,
-            new,
-            "deadline_miss_rate",
-            "deadline miss rate",
-            rel_limit=self.args.shed_pct / 100.0,
-            abs_slack=0.05,
-        )
-        self.check_metric_shrink(
-            key,
-            base,
-            new,
-            "max_sustainable_mops",
-            "max sustainable Mops",
-            rel_limit=self.args.sustain_pct / 100.0,
-            abs_slack=0.1,
-        )
-        self.check_missing(key, base, new, "ns_per_op")
-
-    def check_dispatch_p99(self, key, base, new):
-        # Open-loop end-to-end p99 (dispatch entries).  Same both-bars
-        # shape as check_latency, but with its own, wider limits: e2e
-        # latency includes queueing delay and OS scheduling, far noisier
-        # than closed-loop service time on a shared host.
-        b = as_number(get_path(base, "e2e.p99_ns"))
-        n = as_number(get_path(new, "e2e.p99_ns"))
-        if b is None and n is None:
-            return
-        if b is not None and n is None:
-            self.flag(key, "e2e p99 disappeared (baseline had data, new is null)")
-            return
-        if b is None or b <= 0:
-            return
-        growth = (n - b) / b
-        if growth > self.args.slo_pct / 100.0 and n - b > self.args.slo_abs_ns:
-            self.flag(
-                key,
-                f"e2e p99 grew {100 * growth:.0f}% ({b:.0f}ns -> {n:.0f}ns; "
-                f"limit {self.args.slo_pct}% and {self.args.slo_abs_ns:.0f}ns)",
-            )
-
-    def check_throughput(self, key, base, new):
-        b = as_number(get_path(base, "throughput.mean_ops_per_sec"))
-        n = as_number(get_path(new, "throughput.mean_ops_per_sec"))
-        if b is None and n is None:
-            return
-        if b is not None and n is None:
-            self.flag(key, "throughput disappeared (baseline had data, new is null)")
-            return
-        if b is None:
-            self.note(f"{key}: new data appeared (no baseline throughput)")
-            return
-        if b <= 0:
-            return
-        cv = max(
-            as_number(get_path(base, "throughput.cv")) or 0.0,
-            as_number(get_path(new, "throughput.cv")) or 0.0,
-        )
-        drop = (b - n) / b
-        limit = max(self.args.throughput_pct / 100.0, 3.0 * cv)
-        if drop > limit:
-            self.flag(
-                key,
-                f"throughput dropped {100 * drop:.1f}% "
-                f"({b:.3g} -> {n:.3g} ops/s; limit {100 * limit:.1f}% "
-                f"= max({self.args.throughput_pct}%, 3*cv {100 * cv:.1f}%))",
-            )
-
-    def check_metric_growth(self, key, base, new, path, label, rel_limit, abs_slack):
-        b = as_number(get_path(base, path))
-        n = as_number(get_path(new, path))
-        if b is None and n is None:
-            return
-        if b is not None and n is None:
-            self.flag(key, f"{label} disappeared (baseline had data, new is null)")
-            return
-        if b is None:
-            return
-        if n > b * (1.0 + rel_limit) + abs_slack:
-            self.flag(
-                key,
-                f"{label} grew {b:.3f} -> {n:.3f} "
-                f"(limit {100 * rel_limit:.0f}% + {abs_slack})",
-            )
-
-    def check_metric_shrink(self, key, base, new, path, label, rel_limit, abs_slack):
-        # Higher-is-better counterpart of check_metric_growth (amortization
-        # ratios).  A metric vanishing is flagged exactly like a growth
-        # metric's; a metric appearing is fine (e.g. a queue gaining native
-        # bulk paths).
-        b = as_number(get_path(base, path))
-        n = as_number(get_path(new, path))
-        if b is None and n is None:
-            return
-        if b is not None and n is None:
-            self.flag(key, f"{label} disappeared (baseline had data, new is null)")
-            return
-        if b is None:
-            return
-        if n < b * (1.0 - rel_limit) - abs_slack:
-            self.flag(
-                key,
-                f"{label} shrank {b:.3f} -> {n:.3f} "
-                f"(limit {100 * rel_limit:.0f}% + {abs_slack})",
-            )
-
-    def check_latency(self, key, base, new):
-        b = as_number(get_path(base, "latency.p99_ns"))
-        n = as_number(get_path(new, "latency.p99_ns"))
-        if b is None and n is None:
-            return
-        if b is not None and n is None:
-            self.flag(key, "latency p99 disappeared (baseline had data, new is null)")
-            return
-        if b is None or b <= 0:
-            return
-        growth = (n - b) / b
-        if growth > self.args.latency_pct / 100.0 and n - b > self.args.latency_abs_ns:
-            self.flag(
-                key,
-                f"p99 latency grew {100 * growth:.0f}% ({b:.0f}ns -> {n:.0f}ns; "
-                f"limit {self.args.latency_pct}% and {self.args.latency_abs_ns}ns)",
-            )
-
-    def check_stall_p99(self, key, base, new):
-        # BENCH_stall_latency.json entries: p99 is recorded per run, so
-        # its mean comes with a run-to-run cv of the p99 statistic itself.
-        # The limit mirrors the throughput rule: a floor, widened by three
-        # sigmas of the larger measured noise.
-        b = as_number(get_path(base, "p99.mean_ns"))
-        n = as_number(get_path(new, "p99.mean_ns"))
-        if b is None and n is None:
-            return
-        if b is not None and n is None:
-            self.flag(key, "stall p99 disappeared (baseline had data, new is null)")
-            return
-        if b is None or b <= 0:
-            return
-        cv = max(
-            as_number(get_path(base, "p99.cv")) or 0.0,
-            as_number(get_path(new, "p99.cv")) or 0.0,
-        )
-        growth = (n - b) / b
-        limit = max(self.args.stall_pct / 100.0, 3.0 * cv)
-        if growth > limit:
-            self.flag(
-                key,
-                f"stall p99 grew {100 * growth:.1f}% "
-                f"({b:.0f}ns -> {n:.0f}ns; limit {100 * limit:.1f}% "
-                f"= max({self.args.stall_pct}%, 3*cv {100 * cv:.1f}%))",
-            )
-
-    def check_missing(self, key, base, new, path):
-        b = as_number(get_path(base, path))
-        n = as_number(get_path(new, path))
-        if b is not None and n is None:
-            self.flag(key, f"{path} disappeared (baseline had data, new is null)")
+        headline = "throughput.mean_ops_per_sec"
+        if number_at(base, headline) is None and number_at(new, headline) is not None:
+            self.notes.append(f"{key}: new data appeared (no baseline throughput)")
+        for rule in RULES:
+            message = judge(rule, base, new)
+            if message:
+                self.regressions.append(f"{key}: {message}")
 
 
-def compare_files(baseline_path, new_path, args):
+def compare_files(baseline_path, new_path):
     base_doc = load_report(baseline_path)
     new_doc = load_report(new_path)
     base_index = index_results(base_doc)
     new_index = index_results(new_doc)
 
-    cmp = Comparison(args)
+    cmp = Comparison()
     for key, base_entry in base_index.items():
         if key not in new_index:
-            cmp.flag(key, "result missing from new artifact")
+            cmp.regressions.append(f"{key}: result missing from new artifact")
             continue
         cmp.check_pair(key, base_entry, new_index[key])
     for key in new_index:
         if key not in base_index:
-            cmp.note(f"{key}: new result (not in baseline)")
+            cmp.notes.append(f"{key}: new result (not in baseline)")
     return cmp
 
 
@@ -685,7 +468,7 @@ def synthetic_autotune_report(dtlb=0.02, llc=0.05, pick=6):
     }
 
 
-def self_check(args):
+def self_check():
     failures = []
 
     def expect(condition, what):
@@ -702,13 +485,13 @@ def self_check(args):
         baseline = write("baseline.json", synthetic_report())
 
         # 1. Self-compare must be clean.
-        cmp = compare_files(baseline, baseline, args)
+        cmp = compare_files(baseline, baseline)
         expect(cmp.regressions == [], f"self-compare flagged: {cmp.regressions}")
         expect(cmp.compared == 5, "self-compare did not compare every entry")
 
         # 2. A 20% throughput drop must be flagged (cv 1% -> limit is the 5% floor).
         slow = write("slow.json", synthetic_report(throughput_scale=0.8))
-        cmp = compare_files(baseline, slow, args)
+        cmp = compare_files(baseline, slow)
         expect(
             any("throughput dropped" in r for r in cmp.regressions),
             f"20% throughput regression not flagged: {cmp.regressions}",
@@ -716,7 +499,7 @@ def self_check(args):
 
         # 3. A drop inside the noise band must NOT be flagged (2% < 5% floor).
         noisy = write("noisy.json", synthetic_report(throughput_scale=0.98))
-        cmp = compare_files(baseline, noisy, args)
+        cmp = compare_files(baseline, noisy)
         expect(
             not any("throughput dropped" in r for r in cmp.regressions),
             f"2% within-noise drop was flagged: {cmp.regressions}",
@@ -724,7 +507,7 @@ def self_check(args):
 
         # 4. atomics/op growth must be flagged.
         fat = write("fat.json", synthetic_report(atomics=2.5))
-        cmp = compare_files(baseline, fat, args)
+        cmp = compare_files(baseline, fat)
         expect(
             any("atomics/op grew" in r for r in cmp.regressions),
             f"atomics/op growth not flagged: {cmp.regressions}",
@@ -732,7 +515,7 @@ def self_check(args):
 
         # 5. p99 blowup must be flagged.
         tail = write("tail.json", synthetic_report(p99=900.0))
-        cmp = compare_files(baseline, tail, args)
+        cmp = compare_files(baseline, tail)
         expect(
             any("p99 latency grew" in r for r in cmp.regressions),
             f"p99 growth not flagged: {cmp.regressions}",
@@ -741,7 +524,7 @@ def self_check(args):
         # 6. Bulk amortization collapse (tickets/F&A 7.5 -> 1.2, batching
         # silently degenerating to one F&A per item) must be flagged.
         unbatched = write("unbatched.json", synthetic_report(tickets=1.2))
-        cmp = compare_files(baseline, unbatched, args)
+        cmp = compare_files(baseline, unbatched)
         expect(
             any("tickets/F&A shrank" in r for r in cmp.regressions),
             f"tickets/F&A collapse not flagged: {cmp.regressions}",
@@ -749,7 +532,7 @@ def self_check(args):
 
         # 7. ...but a within-noise amortization dip must NOT be (4% < 10%).
         dipped = write("dipped.json", synthetic_report(tickets=7.2))
-        cmp = compare_files(baseline, dipped, args)
+        cmp = compare_files(baseline, dipped)
         expect(
             not any("tickets/F&A" in r for r in cmp.regressions),
             f"4% tickets/F&A dip was flagged: {cmp.regressions}",
@@ -757,7 +540,7 @@ def self_check(args):
 
         # 8. CAS failure rate blowing up (0.05 -> 0.30) must be flagged.
         contended = write("contended.json", synthetic_report(cas_fail=0.30))
-        cmp = compare_files(baseline, contended, args)
+        cmp = compare_files(baseline, contended)
         expect(
             any("CAS failure rate grew" in r for r in cmp.regressions),
             f"CAS failure rate growth not flagged: {cmp.regressions}",
@@ -766,7 +549,7 @@ def self_check(args):
         # 9. ...but growth inside the relative limit + slack must NOT be
         # (0.05 -> 0.06 is 20% < 25%, and under the 0.02 absolute slack).
         jittery = write("jittery.json", synthetic_report(cas_fail=0.06))
-        cmp = compare_files(baseline, jittery, args)
+        cmp = compare_files(baseline, jittery)
         expect(
             not any("CAS failure rate" in r for r in cmp.regressions),
             f"within-noise CAS failure growth was flagged: {cmp.regressions}",
@@ -775,7 +558,7 @@ def self_check(args):
         # 10. Lane balance rotting (steal rate 0.10 -> 0.40) must be
         # flagged on the multilane entries.
         unbalanced = write("unbalanced.json", synthetic_report(steal_rate=0.40))
-        cmp = compare_files(baseline, unbalanced, args)
+        cmp = compare_files(baseline, unbalanced)
         expect(
             any("lane steal rate grew" in r for r in cmp.regressions),
             f"lane steal rate growth not flagged: {cmp.regressions}",
@@ -785,7 +568,7 @@ def self_check(args):
         # (0.10 -> 0.12 is 20% growth, under the 25% relative limit
         # before the 0.02 absolute slack is even spent).
         drifting = write("drifting.json", synthetic_report(steal_rate=0.12))
-        cmp = compare_files(baseline, drifting, args)
+        cmp = compare_files(baseline, drifting)
         expect(
             not any("lane steal rate" in r for r in cmp.regressions),
             f"within-noise steal rate growth was flagged: {cmp.regressions}",
@@ -794,7 +577,7 @@ def self_check(args):
         # 11a. Cluster batching rotting (handoff rate 0.08 -> 0.35) must
         # be flagged on the hierarchical entry.
         ponging = write("ponging.json", synthetic_report(handoff_rate=0.35))
-        cmp = compare_files(baseline, ponging, args)
+        cmp = compare_files(baseline, ponging)
         expect(
             any("cluster handoff rate grew" in r for r in cmp.regressions),
             f"cluster handoff rate growth not flagged: {cmp.regressions}",
@@ -804,7 +587,7 @@ def self_check(args):
         # (0.08 -> 0.09 is 12.5% growth, under the 25% relative limit
         # before the 0.02 absolute slack is even spent).
         settling = write("settling.json", synthetic_report(handoff_rate=0.09))
-        cmp = compare_files(baseline, settling, args)
+        cmp = compare_files(baseline, settling)
         expect(
             not any("cluster handoff rate" in r for r in cmp.regressions),
             f"within-noise handoff rate growth was flagged: {cmp.regressions}",
@@ -812,7 +595,7 @@ def self_check(args):
 
         # 12. Vanished data must be flagged, not read as infinitely fast.
         lost = write("lost.json", synthetic_report(lose_data=True))
-        cmp = compare_files(baseline, lost, args)
+        cmp = compare_files(baseline, lost)
         expect(
             any("disappeared" in r for r in cmp.regressions),
             f"lost data not flagged: {cmp.regressions}",
@@ -821,12 +604,12 @@ def self_check(args):
         # 14-17: the stall-latency artifact.  The wait-free backend's p99
         # under preemption is the metric the whole phase exists for.
         stall_base = write("stall_base.json", synthetic_stall_report())
-        cmp = compare_files(stall_base, stall_base, args)
+        cmp = compare_files(stall_base, stall_base)
         expect(cmp.regressions == [], f"stall self-compare flagged: {cmp.regressions}")
 
         # 14. A 50% p99 blowup (cv 2% -> the 10% floor governs) must flag.
         stalled = write("stall_slow.json", synthetic_stall_report(p99=720.0))
-        cmp = compare_files(stall_base, stalled, args)
+        cmp = compare_files(stall_base, stalled)
         expect(
             any("stall p99 grew" in r for r in cmp.regressions),
             f"50% stall p99 growth not flagged: {cmp.regressions}",
@@ -834,7 +617,7 @@ def self_check(args):
 
         # 15. 5% growth is under the 10% floor: not a regression.
         steady = write("stall_steady.json", synthetic_stall_report(p99=504.0))
-        cmp = compare_files(stall_base, steady, args)
+        cmp = compare_files(stall_base, steady)
         expect(
             not any("stall p99" in r for r in cmp.regressions),
             f"5% within-floor stall growth was flagged: {cmp.regressions}",
@@ -845,7 +628,7 @@ def self_check(args):
         jittery_tail = write(
             "stall_jittery.json", synthetic_stall_report(p99=624.0, cv=0.15)
         )
-        cmp = compare_files(stall_base, jittery_tail, args)
+        cmp = compare_files(stall_base, jittery_tail)
         expect(
             not any("stall p99" in r for r in cmp.regressions),
             f"within-3cv stall growth was flagged: {cmp.regressions}",
@@ -854,7 +637,7 @@ def self_check(args):
         # 17. The cross-queue comparator eroding (tail win 0.62x -> 0.97x)
         # must flag even when each absolute p99 stays inside its own band.
         eroded = write("stall_eroded.json", synthetic_stall_report(ratio=0.97))
-        cmp = compare_files(stall_base, eroded, args)
+        cmp = compare_files(stall_base, eroded)
         expect(
             any("stall p99 ratio grew" in r for r in cmp.regressions),
             f"stall p99 ratio erosion not flagged: {cmp.regressions}",
@@ -862,14 +645,14 @@ def self_check(args):
 
         # 18-23: the dispatch artifact — open-loop SLO gating.
         disp_base = write("disp_base.json", synthetic_dispatch_report())
-        cmp = compare_files(disp_base, disp_base, args)
+        cmp = compare_files(disp_base, disp_base)
         expect(cmp.regressions == [], f"dispatch self-compare flagged: {cmp.regressions}")
         expect(cmp.compared == 3, "dispatch self-compare did not compare every entry")
 
         # 18. An e2e p99 blowup (400us -> 2ms: 400% and 1.6ms absolute)
         # must flag on the overloaded row.
         slow_disp = write("disp_slow.json", synthetic_dispatch_report(p99=2000000.0))
-        cmp = compare_files(disp_base, slow_disp, args)
+        cmp = compare_files(disp_base, slow_disp)
         expect(
             any("e2e p99 grew" in r for r in cmp.regressions),
             f"dispatch e2e p99 blowup not flagged: {cmp.regressions}",
@@ -878,7 +661,7 @@ def self_check(args):
         # 19. 25% growth is under the 75% relative bar: not a regression
         # (e2e tails on a shared host swing far more than service time).
         warm_disp = write("disp_warm.json", synthetic_dispatch_report(p99=500000.0))
-        cmp = compare_files(disp_base, warm_disp, args)
+        cmp = compare_files(disp_base, warm_disp)
         expect(
             not any("e2e p99" in r for r in cmp.regressions),
             f"within-noise dispatch p99 growth was flagged: {cmp.regressions}",
@@ -888,7 +671,7 @@ def self_check(args):
         # discarding requests the baseline served is a capacity loss even
         # when the latency of the survivors looks fine.
         shedding = write("disp_shed.json", synthetic_dispatch_report(shed=0.20))
-        cmp = compare_files(disp_base, shedding, args)
+        cmp = compare_files(disp_base, shedding)
         expect(
             any("shed rate grew" in r for r in cmp.regressions),
             f"shed rate growth not flagged: {cmp.regressions}",
@@ -896,7 +679,7 @@ def self_check(args):
 
         # 21. ...but 1% -> 4% sits inside the 50% + 0.05 slack: no flag.
         trickle = write("disp_trickle.json", synthetic_dispatch_report(shed=0.04))
-        cmp = compare_files(disp_base, trickle, args)
+        cmp = compare_files(disp_base, trickle)
         expect(
             not any("shed rate" in r for r in cmp.regressions),
             f"within-noise shed growth was flagged: {cmp.regressions}",
@@ -904,7 +687,7 @@ def self_check(args):
 
         # 22. Deadline misses exploding (2% -> 30%) must flag.
         missing = write("disp_miss.json", synthetic_dispatch_report(miss=0.30))
-        cmp = compare_files(disp_base, missing, args)
+        cmp = compare_files(disp_base, missing)
         expect(
             any("deadline miss rate grew" in r for r in cmp.regressions),
             f"deadline miss rate growth not flagged: {cmp.regressions}",
@@ -914,7 +697,7 @@ def self_check(args):
         # backend no longer meets the SLO at any swept load) must flag on
         # the dispatch_slo summary row.
         unsustained = write("disp_unsust.json", synthetic_dispatch_report(sustain=0.0))
-        cmp = compare_files(disp_base, unsustained, args)
+        cmp = compare_files(disp_base, unsustained)
         expect(
             any("max sustainable Mops shrank" in r for r in cmp.regressions),
             f"max sustainable collapse not flagged: {cmp.regressions}",
@@ -922,7 +705,7 @@ def self_check(args):
 
         # 23a. ...but 0.3 -> 0.25 is inside the 50% + 0.1 slack: no flag.
         steady_disp = write("disp_steady.json", synthetic_dispatch_report(sustain=0.25))
-        cmp = compare_files(disp_base, steady_disp, args)
+        cmp = compare_files(disp_base, steady_disp)
         expect(
             not any("max sustainable" in r for r in cmp.regressions),
             f"within-noise sustainable dip was flagged: {cmp.regressions}",
@@ -930,14 +713,14 @@ def self_check(args):
 
         # 24-27: the ring-autotune artifact — substrate health gating.
         at_base = write("at_base.json", synthetic_autotune_report())
-        cmp = compare_files(at_base, at_base, args)
+        cmp = compare_files(at_base, at_base)
         expect(cmp.regressions == [], f"autotune self-compare flagged: {cmp.regressions}")
         expect(cmp.compared == 3, "autotune self-compare did not compare every entry")
 
         # 24. A dTLB miss-rate blowup (0.02 -> 1.5/op: the ring stopped
         # fitting its translation reach) must flag on the sweep row.
         thrashing = write("at_thrash.json", synthetic_autotune_report(dtlb=1.5))
-        cmp = compare_files(at_base, thrashing, args)
+        cmp = compare_files(at_base, thrashing)
         expect(
             any("dTLB misses/op grew" in r for r in cmp.regressions),
             f"dTLB miss blowup not flagged: {cmp.regressions}",
@@ -945,7 +728,7 @@ def self_check(args):
 
         # 25. ...but PMU jitter inside the 50% + 0.5 slack must NOT be.
         warm_tlb = write("at_warm.json", synthetic_autotune_report(dtlb=0.4))
-        cmp = compare_files(at_base, warm_tlb, args)
+        cmp = compare_files(at_base, warm_tlb)
         expect(
             not any("dTLB" in r for r in cmp.regressions),
             f"within-noise dTLB growth was flagged: {cmp.regressions}",
@@ -953,7 +736,7 @@ def self_check(args):
 
         # 26. Same gate for LLC misses/op (0.05 -> 2.0).
         spilled = write("at_spill.json", synthetic_autotune_report(llc=2.0))
-        cmp = compare_files(at_base, spilled, args)
+        cmp = compare_files(at_base, spilled)
         expect(
             any("LLC misses/op grew" in r for r in cmp.regressions),
             f"LLC miss blowup not flagged: {cmp.regressions}",
@@ -963,7 +746,7 @@ def self_check(args):
         # 2^12: the queue needs 64x the segment memory for the same
         # throughput) must flag on the pick row...
         inflated = write("at_inflated.json", synthetic_autotune_report(pick=12))
-        cmp = compare_files(at_base, inflated, args)
+        cmp = compare_files(at_base, inflated)
         expect(
             any("recommended ring order grew" in r for r in cmp.regressions),
             f"recommended-order inflation not flagged: {cmp.regressions}",
@@ -971,7 +754,7 @@ def self_check(args):
 
         # 27a. ...but a one-order wobble is inside the +-2 slack.
         wobble = write("at_wobble.json", synthetic_autotune_report(pick=7))
-        cmp = compare_files(at_base, wobble, args)
+        cmp = compare_files(at_base, wobble)
         expect(
             not any("recommended ring order" in r for r in cmp.regressions),
             f"one-order wobble was flagged: {cmp.regressions}",
@@ -982,10 +765,61 @@ def self_check(args):
         bad["schema_version"] = SCHEMA_VERSION + 1
         bad_path = write("bad.json", bad)
         try:
-            compare_files(baseline, bad_path, args)
+            compare_files(baseline, bad_path)
             expect(False, "mismatched schema_version was accepted")
         except SystemExit:
             pass
+
+        # 28. ns_per_op vanishing on its own (throughput still recorded)
+        # must flag under its own name.
+        no_ns = synthetic_report()
+        no_ns["results"][1]["ns_per_op"] = None
+        cmp = compare_files(baseline, write("no_ns.json", no_ns))
+        expect(
+            any("ns_per_op disappeared" in r for r in cmp.regressions),
+            f"lost ns_per_op not flagged: {cmp.regressions}",
+        )
+
+        # 29-33: within-limit moves of rows whose flagging cases are above.
+        # 29. atomics/op 2.0 -> 2.1 is inside 5% + 0.02.
+        lean = write("lean.json", synthetic_report(atomics=2.1))
+        cmp = compare_files(baseline, lean)
+        expect(
+            not any("atomics/op" in r for r in cmp.regressions),
+            f"within-limit atomics/op growth was flagged: {cmp.regressions}",
+        )
+
+        # 30. p99 150ns -> 300ns clears the 50% bar but not the 200ns one.
+        blip = write("blip.json", synthetic_report(p99=300.0))
+        cmp = compare_files(baseline, blip)
+        expect(
+            not any("p99 latency" in r for r in cmp.regressions),
+            f"under-200ns p99 growth was flagged: {cmp.regressions}",
+        )
+
+        # 31. LLC misses/op 0.05 -> 0.5 is inside 50% + 0.5.
+        warm_llc = write("at_warm_llc.json", synthetic_autotune_report(llc=0.5))
+        cmp = compare_files(at_base, warm_llc)
+        expect(
+            not any("LLC" in r for r in cmp.regressions),
+            f"within-noise LLC growth was flagged: {cmp.regressions}",
+        )
+
+        # 32. stall p99 ratio 0.62 -> 0.68 is inside 10% + 0.02.
+        nudged = write("stall_nudged.json", synthetic_stall_report(ratio=0.68))
+        cmp = compare_files(stall_base, nudged)
+        expect(
+            not any("stall p99 ratio" in r for r in cmp.regressions),
+            f"within-limit stall ratio growth was flagged: {cmp.regressions}",
+        )
+
+        # 33. deadline miss rate 2% -> 5% is inside 50% + 0.05.
+        late = write("disp_late.json", synthetic_dispatch_report(miss=0.05))
+        cmp = compare_files(disp_base, late)
+        expect(
+            not any("deadline miss rate" in r for r in cmp.regressions),
+            f"within-noise deadline miss growth was flagged: {cmp.regressions}",
+        )
 
     if failures:
         print("self-check FAILED:")
@@ -1003,106 +837,6 @@ def main(argv):
     parser.add_argument("baseline", nargs="?", help="baseline artifact")
     parser.add_argument("new", nargs="?", help="new artifact to gate")
     parser.add_argument(
-        "--throughput-pct",
-        type=float,
-        default=5.0,
-        help="throughput drop floor in %% (widened by 3*cv; default 5)",
-    )
-    parser.add_argument(
-        "--atomics-pct",
-        type=float,
-        default=5.0,
-        help="allowed atomics/op growth in %% (default 5)",
-    )
-    parser.add_argument(
-        "--latency-pct",
-        type=float,
-        default=50.0,
-        help="allowed p99 growth in %% (default 50)",
-    )
-    parser.add_argument(
-        "--latency-abs-ns",
-        type=float,
-        default=200.0,
-        help="p99 growth below this many ns never flags (default 200)",
-    )
-    parser.add_argument(
-        "--tickets-pct",
-        type=float,
-        default=10.0,
-        help="allowed bulk tickets/F&A shrink in %% (default 10)",
-    )
-    parser.add_argument(
-        "--cas-fail-pct",
-        type=float,
-        default=25.0,
-        help="allowed CAS failure rate growth in %% plus 0.02 absolute "
-        "slack (default 25)",
-    )
-    parser.add_argument(
-        "--lane-steal-pct",
-        type=float,
-        default=25.0,
-        help="allowed lane steal rate growth in %% plus 0.02 absolute "
-        "slack, on multilane entries (default 25)",
-    )
-    parser.add_argument(
-        "--handoff-pct",
-        type=float,
-        default=25.0,
-        help="allowed cluster handoff rate growth in %% plus 0.02 absolute "
-        "slack, on hierarchical entries (default 25)",
-    )
-    parser.add_argument(
-        "--stall-pct",
-        type=float,
-        default=10.0,
-        help="stall-latency p99 growth floor in %% (widened by 3*cv of the "
-        "per-run p99 statistic; default 10)",
-    )
-    parser.add_argument(
-        "--slo-pct",
-        type=float,
-        default=75.0,
-        help="allowed dispatch e2e p99 growth in %% (default 75; both this "
-        "and --slo-abs-ns must be exceeded to flag)",
-    )
-    parser.add_argument(
-        "--slo-abs-ns",
-        type=float,
-        default=250000.0,
-        help="dispatch e2e p99 growth below this many ns never flags "
-        "(default 250000)",
-    )
-    parser.add_argument(
-        "--shed-pct",
-        type=float,
-        default=50.0,
-        help="allowed shed / deadline-miss rate growth in %% plus 0.05 "
-        "absolute slack, on dispatch entries (default 50)",
-    )
-    parser.add_argument(
-        "--sustain-pct",
-        type=float,
-        default=50.0,
-        help="allowed max_sustainable_mops shrink in %% plus 0.1 absolute "
-        "slack, on dispatch_slo entries (default 50)",
-    )
-    parser.add_argument(
-        "--hw-miss-pct",
-        type=float,
-        default=50.0,
-        help="allowed dTLB/LLC miss-per-op growth in %% plus 0.5 absolute "
-        "slack, on entries with a measured hw block (default 50)",
-    )
-    parser.add_argument(
-        "--autotune-order-slack",
-        type=float,
-        default=2.0,
-        help="allowed recommended_ring_order growth in ring orders, on "
-        "ring_autotune_pick entries (default 2)",
-    )
-    parser.add_argument(
         "--self-check",
         action="store_true",
         help="run the built-in fixture suite and exit",
@@ -1110,11 +844,11 @@ def main(argv):
     args = parser.parse_args(argv)
 
     if args.self_check:
-        return self_check(args)
+        return self_check()
     if not args.baseline or not args.new:
         parser.print_usage()
         return 2
-    cmp = compare_files(args.baseline, args.new, args)
+    cmp = compare_files(args.baseline, args.new)
     return report(cmp, args.baseline, args.new)
 
 

@@ -39,12 +39,10 @@ LCRQ_FORCE_NO_THP=1 ctest --test-dir build --output-on-failure -R \
 # BENCH_*.json artifacts at CI scale, prove the comparator's fixture suite
 # passes, and gate that each artifact self-compares clean.  To gate a perf
 # change, stash a baseline copy of the artifacts from the parent commit and
-# run bench_compare.py baseline new.  The ring-autotune artifact gets its
-# dedicated validator too: it recomputes the recommended ring order from
-# the sweep rows and fails on drift between the C++ and Python pick rules.
-# The repo benchmark (perfbench/, declared by BENCHMARK.json) builds its
-# own measurement program outside the root build, so it is built and
-# smoked here too.
+# run bench_compare.py baseline new.  The repo benchmark (perfbench/,
+# declared by BENCHMARK.json) builds its own measurement program outside
+# the root build, so it is built and smoked here too.  These are the same
+# commands the CI perf-smoke job runs.
 if command -v python3 >/dev/null 2>&1; then
   mkdir -p bench_artifacts
   ./build/bench/regress --smoke --out-dir bench_artifacts
@@ -53,8 +51,6 @@ if command -v python3 >/dev/null 2>&1; then
   python3 scripts/bench_compare.py --self-check
   python3 perfbench/run.py --selftest
   python3 perfbench/run.py --smoke
-  python3 scripts/ring_autotune.py --self-check
-  python3 scripts/ring_autotune.py bench_artifacts/BENCH_ring_autotune.json
   for f in bench_artifacts/BENCH_*.json; do
     python3 scripts/bench_compare.py "$f" "$f"
   done

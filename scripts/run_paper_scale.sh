@@ -42,8 +42,8 @@ if [ "${BATCH_SWEEP:-0}" = "1" ]; then
                       --json "$OUT/BENCH_batch.json"
 fi
 
-# Canonical regression-gating artifacts at paper scale: BENCH_queue_ops.json,
-# BENCH_bulk_ops.json, BENCH_latency.json in $OUT.  Diff against a previous
-# generation with scripts/bench_compare.py to gate perf changes.
+# The eight canonical regression-gating BENCH_*.json artifacts at paper
+# scale in $OUT (listed in bench/regress.cpp's header).  Diff against a
+# previous generation with scripts/bench_compare.py to gate perf changes.
 run regress --paper --out-dir "$OUT"
 echo "results in $OUT/"

@@ -94,4 +94,24 @@ std::string throughput_cell(const RunResult& r) {
            format_double(100.0 * r.throughput.cv(), 1) + "%)";
 }
 
+RingOrderPick pick_ring_order(const std::vector<RingOrderPoint>& points,
+                              double tolerance_pct) {
+    if (points.empty()) return {};
+    const RingOrderPoint* best = &points.front();
+    for (const auto& p : points) {
+        if (p.mean_ops_per_sec > best->mean_ops_per_sec ||
+            (p.mean_ops_per_sec == best->mean_ops_per_sec && p.order < best->order)) {
+            best = &p;
+        }
+    }
+    RingOrderPick pick{best->order, best->order, best->mean_ops_per_sec};
+    const double floor = best->mean_ops_per_sec * (1.0 - tolerance_pct / 100.0);
+    for (const auto& p : points) {
+        if (p.mean_ops_per_sec >= floor && p.order < pick.recommended_order) {
+            pick.recommended_order = p.order;
+        }
+    }
+    return pick;
+}
+
 }  // namespace lcrq::bench

@@ -278,5 +278,32 @@ TEST(JsonReport, WriteProducesParsableFile) {
     EXPECT_EQ(parsed->at("results").size(), 1u);
 }
 
+TEST(RingAutotune, BestOrderWinsAtTightTolerance) {
+    const auto pick = pick_ring_order({{6, 100.0}, {8, 200.0}}, 1.0);
+    EXPECT_EQ(pick.recommended_order, 8);
+    EXPECT_EQ(pick.best_order, 8);
+    EXPECT_EQ(pick.best_mean_ops_per_sec, 200.0);
+}
+
+TEST(RingAutotune, SmallerOrderWinsInsideTolerance) {
+    const auto pick = pick_ring_order({{6, 196.0}, {8, 200.0}}, 5.0);
+    EXPECT_EQ(pick.recommended_order, 6);
+    EXPECT_EQ(pick.best_order, 8);
+}
+
+TEST(RingAutotune, TiesGoToTheSmallerOrder) {
+    const auto pick = pick_ring_order({{8, 200.0}, {6, 200.0}}, 0.0);
+    EXPECT_EQ(pick.recommended_order, 6);
+    EXPECT_EQ(pick.best_order, 6);
+}
+
+TEST(RingAutotune, UnorderedInputPicksTheSmallestOrder) {
+    // A sweep given as --autotune-orders 10,4,8: the first within-tolerance
+    // point in sweep order (2^10) is not the smallest (2^4).
+    const auto pick = pick_ring_order({{10, 100.0}, {4, 99.0}, {8, 98.0}}, 5.0);
+    EXPECT_EQ(pick.recommended_order, 4);
+    EXPECT_EQ(pick.best_order, 10);
+}
+
 }  // namespace
 }  // namespace lcrq::bench
