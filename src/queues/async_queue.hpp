@@ -13,11 +13,11 @@
 // harmless and the protocol needs no per-item handoff.
 //
 // Lost-wakeup freedom (the eventcount argument, restated for stacks):
-// the waiter pushes its node with a seq_cst fence before re-reading the
-// epoch; the waker bumps the epoch (seq_cst RMW inside the blocking
-// facade) before popping the stack.  Either the waiter's re-read sees the
-// bump (it aborts the park and resumes itself), or the push precedes the
-// pop in the head's modification order and the waker resumes it.
+// the waiter pushes its node, fences (seq_cst), then re-reads the epoch;
+// the waker bumps the epoch (seq_cst RMW inside the blocking facade),
+// fences, then reads the stack head.  Either the waiter's re-read sees the
+// bump (it aborts the park and resumes itself), or the waker's read sees
+// the push and it pops and resumes the frame.
 //
 // Node ownership: nodes are heap-allocated, one per park, and reference
 // counted by the two parties that may touch them concurrently: the
@@ -319,9 +319,11 @@ class AsyncQueue {
     // Resume every parked frame on `stack`.  Each pop drops the stack's
     // reference; the node is freed once the awaiter has dropped its own
     // (aborted nodes — their frame already resumed itself — only get the
-    // reference drop here).
+    // reference drop here).  An empty head skips the pop's xchg: by the
+    // file comment's fence argument, a missed waiter sees the bump.
     void wake(WaiterStack& stack) {
         std::atomic_thread_fence(std::memory_order_seq_cst);
+        if (stack.head.load(std::memory_order_relaxed) == nullptr) return;
         WaiterNode* n = stack.pop_all();
         while (n != nullptr) {
             WaiterNode* next = n->next;

@@ -39,9 +39,10 @@
 //                         stragglers}.
 //
 // Capacity model: the watermark reads the base's approx_size() when it
-// has one (LCRQ/LSCQ/SCQ/wCQ all do); otherwise the facade maintains its
-// own enq/deq counters.  approx_size is approximate under concurrency by
-// design, so capacity is a watermark, not a hard invariant — transient
+// has one (LCRQ/LSCQ/SCQ/wCQ all do); otherwise it reads admissions minus
+// dequeues off the two eventcounts, which tally both already, so the
+// fallback costs no extra RMW.  Either size is approximate under
+// concurrency, so capacity is a watermark, not a hard invariant — transient
 // overshoot by the number of in-flight enqueuers is possible and fine for
 // backpressure (the server-side shed accounting is exact either way).
 //
@@ -54,6 +55,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <concepts>
 #include <cstdint>
 #include <memory>
@@ -119,27 +121,29 @@ struct DrainReport {
 
 namespace detail {
 
-// 32-bit futex eventcount: epoch word sleepers wait on + waiter count so
-// the notifier's wake syscall is skipped when nobody sleeps.  32-bit
-// because FUTEX_WAIT compares exactly 4 bytes; epoch wraparound after 2^32
-// signals is harmless (a sleeper whose observed epoch is re-reached after
-// a full wrap eats one spurious slice timeout and re-checks).
+// Futex eventcount: an exact 64-bit count of signals + a waiter count so
+// the notifier's wake syscall is skipped when nobody sleeps.  FUTEX_WAIT
+// compares exactly 4 bytes, so sleepers wait on the low half (prepare()'s
+// epoch); its wraparound after 2^32 signals is harmless (a sleeper whose
+// observed epoch is re-reached after a full wrap eats one spurious slice
+// timeout and re-checks).
 class EventCount {
   public:
     // Snapshot the epoch *before* the final condition re-check; pass it to
     // wait_slice so a signal between re-check and sleep is never missed.
     std::uint32_t prepare() const noexcept {
-        return epoch_.load(std::memory_order_acquire);
+        return static_cast<std::uint32_t>(count_.load(std::memory_order_acquire));
     }
+    std::uint64_t count() const noexcept { return count_.load(std::memory_order_acquire); }
 
     void announce_waiter() noexcept { waiters_.fetch_add(1, std::memory_order_seq_cst); }
     void retract_waiter() noexcept { waiters_.fetch_sub(1, std::memory_order_seq_cst); }
 
-    // Publish "the condition may have changed".  The seq_cst epoch bump
+    // Publish "the condition may have changed".  The seq_cst count bump
     // orders against the waiter-side announce+re-check: either the sleeper
     // sees the new epoch and refuses to sleep, or the signaler sees the
     // registered waiter and issues the wake.
-    void bump() noexcept { epoch_.fetch_add(1, std::memory_order_seq_cst); }
+    void bump() noexcept { count_.fetch_add(1, std::memory_order_seq_cst); }
     void wake_if_waiters() noexcept {
         if (waiters_.load(std::memory_order_seq_cst) != 0) wake_all();
     }
@@ -160,10 +164,9 @@ class EventCount {
         timespec ts;
         ts.tv_sec = static_cast<time_t>(slice_ns / 1'000'000'000u);
         ts.tv_nsec = static_cast<long>(slice_ns % 1'000'000'000u);
-        syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&epoch_),
-                FUTEX_WAIT_PRIVATE, observed, &ts, nullptr, 0);
+        syscall(SYS_futex, futex_word(), FUTEX_WAIT_PRIVATE, observed, &ts, nullptr, 0);
 #else
-        if (epoch_.load(std::memory_order_acquire) == observed) {
+        if (prepare() == observed) {
             constexpr std::uint64_t kFallbackCapNs = 1'000'000;  // poll at >= 1kHz
             std::this_thread::sleep_for(
                 std::chrono::nanoseconds(std::min(slice_ns, kFallbackCapNs)));
@@ -174,14 +177,16 @@ class EventCount {
   private:
     void wake_all() noexcept {
 #if defined(__linux__)
-        syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&epoch_),
-                FUTEX_WAKE_PRIVATE, INT_MAX, nullptr, nullptr, 0);
+        syscall(SYS_futex, futex_word(), FUTEX_WAKE_PRIVATE, INT_MAX, nullptr, nullptr, 0);
 #endif
         // Fallback sleepers poll on slice expiry; no wake needed.
     }
 
-    static_assert(std::atomic<std::uint32_t>::is_always_lock_free);
-    alignas(kCacheLineSize) std::atomic<std::uint32_t> epoch_{0};
+    static_assert(std::endian::native == std::endian::little);  // low half first
+    std::uint32_t* futex_word() noexcept { return reinterpret_cast<std::uint32_t*>(&count_); }
+
+    static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
+    alignas(kCacheLineSize) std::atomic<std::uint64_t> count_{0};
     alignas(kCacheLineSize) std::atomic<std::uint32_t> waiters_{0};
 };
 
@@ -204,7 +209,7 @@ class WaiterGuard {
 // Adapter so the facade composes over a registry-constructed backend:
 // BlockingQueue<UniquePtrBase<AnyQueue>> wraps any catalog queue picked at
 // runtime.  AnyQueue exposes only the total enqueue/dequeue, so the facade
-// falls back to its own size counters for the capacity watermark.
+// falls back to its eventcounts' tallies for the capacity watermark.
 template <typename Q>
 class UniquePtrBase {
   public:
@@ -274,6 +279,8 @@ class BlockingQueue {
 
     WaitStatus wait_enqueue(value_t x) { return wait_enqueue_until(x, kNoDeadline); }
     WaitStatus wait_enqueue_for(value_t x, std::uint64_t timeout_ns) {
+        // One attempt before the deadline needs the clock: a hit reads none.
+        if (auto st = settled(admit(x))) return *st;
         return wait_enqueue_until(x, saturating_deadline(timeout_ns));
     }
 
@@ -286,14 +293,7 @@ class BlockingQueue {
         bool counted_block = false;
         for (;;) {
             for (int i = 0; i < kFastAttempts; ++i) {
-                switch (admit(x)) {
-                    case Admission::kAccepted:
-                        return WaitStatus::kOk;
-                    case Admission::kClosed:
-                        return WaitStatus::kClosed;
-                    case Admission::kFull:
-                        break;
-                }
+                if (auto st = settled(admit(x))) return *st;
                 if (now_ns() >= deadline_ns) {
                     stats::count(stats::Event::kShed);
                     return WaitStatus::kTimeout;
@@ -306,14 +306,7 @@ class BlockingQueue {
             const std::uint32_t observed = space_ec_.prepare();
             {
                 detail::WaiterGuard guard(space_ec_);
-                switch (admit(x)) {
-                    case Admission::kAccepted:
-                        return WaitStatus::kOk;
-                    case Admission::kClosed:
-                        return WaitStatus::kClosed;
-                    case Admission::kFull:
-                        break;
-                }
+                if (auto st = settled(admit(x))) return *st;
                 if (!counted_block) {
                     stats::count(stats::Event::kBlockedEnq);
                     counted_block = true;
@@ -345,6 +338,8 @@ class BlockingQueue {
     }
 
     WaitResult wait_dequeue_for(std::uint64_t timeout_ns) {
+        // One attempt before the deadline needs the clock: a hit reads none.
+        if (auto v = try_dequeue()) return {WaitStatus::kOk, *v};
         return wait_dequeue_until(saturating_deadline(timeout_ns));
     }
 
@@ -431,13 +426,15 @@ class BlockingQueue {
     // --- introspection -----------------------------------------------------
 
     // Items currently inside, approximately: the base's hazard-protected
-    // segment walk when available, else the facade's own enq/deq counters.
+    // segment walk when available, else the eventcounts' admissions minus
+    // dequeues, read in the order that cannot overstate: dequeues landing
+    // between the reads only shrink the result (clamped at 0).
     std::uint64_t approx_size() {
         if constexpr (kBaseHasApproxSize) {
             return base_.approx_size();
         } else {
-            const std::uint64_t enq = enq_count_.load(std::memory_order_relaxed);
-            const std::uint64_t deq = deq_count_.load(std::memory_order_relaxed);
+            const std::uint64_t enq = items_ec_.count();
+            const std::uint64_t deq = space_ec_.count();
             return enq > deq ? enq - deq : 0;
         }
     }
@@ -464,12 +461,31 @@ class BlockingQueue {
         return timeout_ns > kNoDeadline - now ? kNoDeadline : now + timeout_ns;
     }
 
+    // A wait loop's reading of one admission: kFull keeps it waiting.
+    static std::optional<WaitStatus> settled(Admission a) noexcept {
+        if (a == Admission::kFull) return std::nullopt;
+        return a == Admission::kAccepted ? WaitStatus::kOk : WaitStatus::kClosed;
+    }
+
+    // Over the eventcounts the first test reads the space count first, the
+    // order measured fastest on the admission path.  It can overstate by
+    // the dequeues between its reads (a reader preempted there would shed
+    // on a near-empty queue), so a "full" is confirmed by approx_size().
+    bool at_watermark() {
+        if constexpr (!kBaseHasApproxSize) {
+            const std::uint64_t deq = space_ec_.count();
+            const std::uint64_t enq = items_ec_.count();
+            if (enq < deq + capacity_) return false;
+        }
+        return approx_size() >= capacity_;
+    }
+
     // One admission attempt: closed check, watermark check, base insert,
     // publish.  Does not count sheds — callers decide whether a kFull is
     // final (try_enqueue) or retryable (wait_enqueue).
     Admission admit(value_t x) {
         if (closed_.load(std::memory_order_acquire)) return Admission::kClosed;
-        if (capacity_ != 0 && approx_size() >= capacity_) return Admission::kFull;
+        if (capacity_ != 0 && at_watermark()) return Admission::kFull;
         if constexpr (kBaseHasTryEnqueue) {
             // A base-side refusal is either a full bounded ring (retryable:
             // a dequeue frees a slot) or a base closed directly via
@@ -487,9 +503,6 @@ class BlockingQueue {
         } else {
             base_.enqueue(x);
         }
-        if constexpr (!kBaseHasApproxSize) {
-            enq_count_.fetch_add(1, std::memory_order_relaxed);
-        }
         // Epoch bump + conditional wake: only consumers that already
         // registered as waiters cost this producer a futex syscall.  The
         // injection point sits exactly in the publish-to-wake window.
@@ -500,13 +513,11 @@ class BlockingQueue {
     }
 
     void note_dequeued() {
-        if constexpr (!kBaseHasApproxSize) {
-            deq_count_.fetch_add(1, std::memory_order_relaxed);
-        }
         // Producers may be parked on the space eventcount: always when the
         // facade is bounded, and even with capacity_ == 0 when the *base*
         // ring is bounded (admit() reports its full as retryable kFull).
-        if (kBaseIsBounded || capacity_ != 0) space_ec_.signal();
+        // Without a base approx_size the space count is the dequeue tally.
+        if (kBaseIsBounded || capacity_ != 0 || !kBaseHasApproxSize) space_ec_.signal();
     }
 
     // Closed observed on the dequeue path: deliver any remaining item.  One
@@ -526,9 +537,6 @@ class BlockingQueue {
     const std::size_t capacity_;
     detail::EventCount items_ec_;  // consumers sleep; enqueues signal
     detail::EventCount space_ec_;  // bounded producers sleep; dequeues signal
-    // Watermark fallback when the base has no approx_size.
-    alignas(kCacheLineSize) std::atomic<std::uint64_t> enq_count_{0};
-    alignas(kCacheLineSize) std::atomic<std::uint64_t> deq_count_{0};
     alignas(kCacheLineSize) std::atomic<bool> closed_{false};
 };
 

@@ -507,7 +507,7 @@ class WcqRing : public ScqRingCore<24> {
                               std::memory_order_seq_cst);
     }
 
-    void wait_done(std::size_t s, std::uint64_t g) {
+    void wait_done(std::size_t s, [[maybe_unused]] std::uint64_t g) {
         SpinWait waiter;
         for (;;) {
             help_slot(s);

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "queues/blocking_queue.hpp"
@@ -69,8 +70,7 @@ TEST(LcrqShutdown, ConcurrentCloseNothingLostOrLate) {
         std::atomic<bool> closed_seen{false};
         test::run_threads(4, [&](int id) {
             if (id == 0) {
-                for (volatile int spin = 0; spin < 2000; ++spin) {
-                }
+                for (int spin = 0; spin < 2000; ++spin) cpu_relax();
                 q.close();
                 closed_seen.store(true, std::memory_order_release);
             } else {
@@ -107,237 +107,10 @@ TEST(BlockingQueue, BaseClosedDirectlyEnqueueRefusesInsteadOfLosing) {
     EXPECT_FALSE(q.try_dequeue().has_value());
 }
 
-TEST(BlockingQueue, WaitDequeueGetsItem) {
-    BlockingQueue<> q;
-    std::thread producer([&] {
-        spin_for_ns(2'000'000);
-        EXPECT_TRUE(q.enqueue(42));
-    });
-    const auto v = q.wait_dequeue();  // blocks until the producer lands
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, 42u);
-    producer.join();
-}
-
-TEST(BlockingQueue, TryDequeueNeverBlocks) {
-    BlockingQueue<> q;
-    EXPECT_FALSE(q.try_dequeue().has_value());
-    q.enqueue(7);
-    EXPECT_EQ(q.try_dequeue().value_or(0), 7u);
-}
-
-TEST(BlockingQueue, CloseWakesSleepers) {
-    BlockingQueue<> q;
-    std::atomic<int> woke{0};
-    std::vector<std::thread> sleepers;
-    for (int i = 0; i < 3; ++i) {
-        sleepers.emplace_back([&] {
-            const auto v = q.wait_dequeue();
-            EXPECT_FALSE(v.has_value());  // closed and empty
-            woke.fetch_add(1);
-        });
-    }
-    spin_for_ns(3'000'000);  // give them time to reach the futex
-    q.close();
-    for (auto& t : sleepers) t.join();
-    EXPECT_EQ(woke.load(), 3);
-    EXPECT_FALSE(q.enqueue(1)) << "enqueue after close must be refused";
-}
-
-TEST(BlockingQueue, DrainsBeforeReportingClosed) {
-    BlockingQueue<> q;
-    for (value_t v = 1; v <= 10; ++v) EXPECT_TRUE(q.enqueue(v));
-    q.close();
-    for (value_t v = 1; v <= 10; ++v) {
-        const auto r = q.wait_dequeue();
-        ASSERT_TRUE(r.has_value());
-        EXPECT_EQ(*r, v);
-    }
-    EXPECT_FALSE(q.wait_dequeue().has_value());
-}
-
-TEST(BlockingQueue, ProducerConsumerThroughputWithShutdown) {
-    // The canonical lifecycle: producers produce, the last one out closes,
-    // blocked consumers wake, drain, and see the closed signal.
-    BlockingQueue<> q;
-    constexpr std::uint64_t kItems = 20'000;
-    std::atomic<std::uint64_t> received{0};
-    std::atomic<int> producers_left{2};
-    test::run_threads(4, [&](int id) {
-        if (id < 2) {
-            for (std::uint64_t i = 0; i < kItems / 2; ++i) {
-                ASSERT_TRUE(q.enqueue(test::tag(static_cast<unsigned>(id), i)));
-            }
-            if (producers_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-                q.close();
-            }
-        } else {
-            while (auto v = q.wait_dequeue()) {
-                received.fetch_add(1, std::memory_order_acq_rel);
-            }
-            // nullopt: closed and drained (for this consumer's view).
-        }
-    });
-    while (q.try_dequeue().has_value()) received.fetch_add(1);
-    EXPECT_EQ(received.load(), kItems);
-}
-
-TEST(BlockingQueue, WaitForTimesOutWhenIdle) {
-    BlockingQueue<> q;
-    const auto t0 = now_ns();
-    const WaitResult r = q.wait_dequeue_for(3'000'000);  // 3 ms
-    const auto elapsed = now_ns() - t0;
-    EXPECT_TRUE(r.timed_out()) << "idle open queue: timeout, not closed";
-    EXPECT_GE(elapsed, 2'000'000u) << "returned before the deadline";
-}
-
-TEST(BlockingQueue, WaitForReturnsEarlyWithItem) {
-    BlockingQueue<> q;
-    q.enqueue(9);
-    const auto t0 = now_ns();
-    const WaitResult r = q.wait_dequeue_for(1'000'000'000);  // 1 s budget
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.value, 9u);
-    EXPECT_LT(now_ns() - t0, 500'000'000u) << "did not return promptly";
-}
-
-TEST(BlockingQueue, WaitForSeesConcurrentProducer) {
-    BlockingQueue<> q;
-    std::thread producer([&] {
-        spin_for_ns(1'000'000);
-        q.enqueue(77);
-    });
-    const WaitResult r = q.wait_dequeue_for(2'000'000'000);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.value, 77u);
-    producer.join();
-}
-
-TEST(BlockingQueue, WaitForAfterCloseDrainsThenClosed) {
-    BlockingQueue<> q;
-    q.enqueue(5);
-    q.close();
-    const WaitResult first = q.wait_dequeue_for(1'000'000);
-    ASSERT_TRUE(first.ok());
-    EXPECT_EQ(first.value, 5u);
-    // Regression: the old API returned nullopt for both "timed out" and
-    // "closed and drained"; the tri-state must say closed here.
-    const WaitResult second = q.wait_dequeue_for(1'000'000);
-    EXPECT_TRUE(second.closed());
-    EXPECT_FALSE(second.timed_out());
-}
-
-TEST(BlockingQueue, WaitForSleepsInsteadOfSpinning) {
-    // CPU-time witness for the busy-wait bugfix: the old wait_dequeue_for
-    // spin/yielded to the deadline, so a 200 ms idle wait burned ~200 ms
-    // of CPU.  The futex-backed wait must burn only a small fraction.
-    BlockingQueue<> q;
-    constexpr std::uint64_t kWaitNs = 200'000'000;  // 200 ms
-    const std::uint64_t cpu0 = thread_cpu_ns();
-    const std::uint64_t t0 = now_ns();
-    const WaitResult r = q.wait_dequeue_for(kWaitNs);
-    const std::uint64_t wall = now_ns() - t0;
-    const std::uint64_t cpu = thread_cpu_ns() - cpu0;
-    EXPECT_TRUE(r.timed_out());
-    ASSERT_GE(wall, kWaitNs - 1'000'000) << "deadline not honored";
-    // The old implementation burned ~100% of wall as CPU; the sliced futex
-    // wait costs the 64 optimistic attempts plus ~20 wakeups.  Even on a
-    // loaded CI host, a quarter of the wall budget is an order of
-    // magnitude above what sleeping costs and far below what spinning did.
-    EXPECT_LT(cpu, wall / 4) << "wait_dequeue_for burned CPU like a spin loop";
-}
-
-TEST(BlockingQueue, BoundedTryEnqueueShedsAtWatermark) {
-    BlockingQueue<> q(QueueOptions{}, /*capacity=*/8);
-    for (value_t v = 1; v <= 8; ++v) {
-        EXPECT_TRUE(q.try_enqueue(v)) << "under capacity";
-    }
-    EXPECT_FALSE(q.try_enqueue(9)) << "watermark reached: shed";
-    EXPECT_EQ(q.try_dequeue().value_or(0), 1u);
-    EXPECT_TRUE(q.try_enqueue(9)) << "space freed: accepted again";
-}
-
-TEST(BlockingQueue, WaitEnqueueBlocksUntilSpace) {
-    BlockingQueue<> q(QueueOptions{}, /*capacity=*/4);
-    for (value_t v = 1; v <= 4; ++v) ASSERT_TRUE(q.try_enqueue(v));
-    std::thread consumer([&] {
-        spin_for_ns(2'000'000);
-        EXPECT_EQ(q.try_dequeue().value_or(0), 1u);
-    });
-    const WaitStatus st = q.wait_enqueue_for(5, 2'000'000'000);
-    EXPECT_EQ(st, WaitStatus::kOk) << "blocked producer must land after the dequeue";
-    consumer.join();
-}
-
-TEST(BlockingQueue, WaitEnqueueTimesOutWhenFull) {
-    BlockingQueue<> q(QueueOptions{}, /*capacity=*/2);
-    ASSERT_TRUE(q.try_enqueue(1));
-    ASSERT_TRUE(q.try_enqueue(2));
-    const auto t0 = now_ns();
-    EXPECT_EQ(q.wait_enqueue_for(3, 3'000'000), WaitStatus::kTimeout);
-    EXPECT_GE(now_ns() - t0, 2'000'000u);
-    q.close();
-    EXPECT_EQ(q.wait_enqueue_for(4, 1'000'000), WaitStatus::kClosed);
-}
-
-TEST(BlockingQueue, WaitEnqueueWakesOnClose) {
-    BlockingQueue<> q(QueueOptions{}, /*capacity=*/1);
-    ASSERT_TRUE(q.try_enqueue(1));
-    std::thread closer([&] {
-        spin_for_ns(2'000'000);
-        q.close();
-    });
-    EXPECT_EQ(q.wait_enqueue(2), WaitStatus::kClosed);
-    closer.join();
-}
-
-TEST(BlockingQueue, DrainDeliversRemainderAndReportsComplete) {
-    BlockingQueue<> q;
-    for (value_t v = 1; v <= 50; ++v) ASSERT_TRUE(q.enqueue(v));
-    std::vector<value_t> got;
-    const DrainReport rep =
-        q.drain(1'000'000'000, [&](value_t v) { got.push_back(v); });
-    EXPECT_TRUE(q.closed()) << "drain closes an open queue";
-    EXPECT_TRUE(rep.complete);
-    EXPECT_EQ(rep.drained, 50u);
-    EXPECT_EQ(rep.stragglers, 0u);
-    ASSERT_EQ(got.size(), 50u);
-    for (value_t v = 1; v <= 50; ++v) EXPECT_EQ(got[v - 1], v);
-}
-
-TEST(BlockingQueue, DrainOnEmptyClosedQueueIsComplete) {
-    BlockingQueue<> q;
-    q.close();
-    const DrainReport rep = q.drain(100'000'000);
-    EXPECT_TRUE(rep.complete);
-    EXPECT_EQ(rep.drained, 0u);
-}
-
-TEST(BlockingQueue, DrainRacesConcurrentConsumersWithoutLoss) {
-    // drain() and wait_dequeue consumers split the remainder; nothing is
-    // lost and nothing is double-delivered.
-    BlockingQueue<> q;
-    constexpr std::uint64_t kItems = 10'000;
-    for (std::uint64_t i = 0; i < kItems; ++i) {
-        ASSERT_TRUE(q.enqueue(test::tag(1, i)));
-    }
-    std::atomic<std::uint64_t> consumed{0};
-    std::atomic<std::uint64_t> drained{0};
-    test::run_threads(3, [&](int id) {
-        if (id == 0) {
-            const DrainReport rep = q.drain(2'000'000'000);
-            drained.fetch_add(rep.drained);
-        } else {
-            while (q.wait_dequeue().has_value()) consumed.fetch_add(1);
-        }
-    });
-    EXPECT_EQ(consumed.load() + drained.load(), kItems);
-}
-
 TEST(BlockingQueue, ComposesOverRegistryBackend) {
     // The production shape: facade over a runtime-selected backend.
     // AnyQueue has no approx_size, so the watermark runs on the facade's
-    // own counters.
+    // eventcount tallies.
     auto base = make_queue("lscq");
     ASSERT_NE(base, nullptr);
     BlockingQueue<UniquePtrBase<AnyQueue>> q(
@@ -390,11 +163,256 @@ TEST(BlockingQueue, BoundedBaseClosedDirectlyReportsClosed) {
     EXPECT_EQ(q.try_dequeue().value_or(0), 1u) << "pre-close item still drains";
 }
 
-TEST(BlockingQueue, DrainDeadlineHoldsAgainstSlowSink) {
+// The facade's wait, wake and watermark cases run over both base kinds: a
+// typed base that reports its own approx_size (LcrqQueue), and a registry
+// backend that does not (UniquePtrBase<AnyQueue>, the dispatch shape), whose
+// watermark and size read the eventcounts' admission and dequeue tallies.
+template <typename Base>
+class BlockingFacade : public ::testing::Test {
+  public:
+    static BlockingQueue<Base> make(std::size_t capacity = 0) {
+        if constexpr (std::is_same_v<Base, LcrqQueue>) {
+            return BlockingQueue<Base>(QueueOptions{}, capacity);
+        } else {
+            return BlockingQueue<Base>(Base(make_queue("lcrq")), capacity);
+        }
+    }
+};
+using FacadeBases = ::testing::Types<LcrqQueue, UniquePtrBase<AnyQueue>>;
+TYPED_TEST_SUITE(BlockingFacade, FacadeBases);
+
+TYPED_TEST(BlockingFacade, WaitDequeueGetsItem) {
+    auto q = TestFixture::make();
+    std::thread producer([&] {
+        spin_for_ns(2'000'000);
+        EXPECT_TRUE(q.enqueue(42));
+    });
+    const auto v = q.wait_dequeue();  // blocks until the producer lands
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(*v, 42u);
+    producer.join();
+}
+
+TYPED_TEST(BlockingFacade, TryDequeueNeverBlocks) {
+    auto q = TestFixture::make();
+    EXPECT_FALSE(q.try_dequeue().has_value());
+    q.enqueue(7);
+    EXPECT_EQ(q.try_dequeue().value_or(0), 7u);
+}
+
+TYPED_TEST(BlockingFacade, CloseWakesSleepers) {
+    auto q = TestFixture::make();
+    std::atomic<int> woke{0};
+    std::vector<std::thread> sleepers;
+    for (int i = 0; i < 3; ++i) {
+        sleepers.emplace_back([&] {
+            const auto v = q.wait_dequeue();
+            EXPECT_FALSE(v.has_value());  // closed and empty
+            woke.fetch_add(1);
+        });
+    }
+    spin_for_ns(3'000'000);  // give them time to reach the futex
+    q.close();
+    for (auto& t : sleepers) t.join();
+    EXPECT_EQ(woke.load(), 3);
+    EXPECT_FALSE(q.enqueue(1)) << "enqueue after close must be refused";
+}
+
+TYPED_TEST(BlockingFacade, DrainsBeforeReportingClosed) {
+    auto q = TestFixture::make();
+    for (value_t v = 1; v <= 10; ++v) EXPECT_TRUE(q.enqueue(v));
+    q.close();
+    for (value_t v = 1; v <= 10; ++v) {
+        const auto r = q.wait_dequeue();
+        ASSERT_TRUE(r.has_value());
+        EXPECT_EQ(*r, v);
+    }
+    EXPECT_FALSE(q.wait_dequeue().has_value());
+}
+
+TYPED_TEST(BlockingFacade, ProducerConsumerThroughputWithShutdown) {
+    // The canonical lifecycle: producers produce, the last one out closes,
+    // blocked consumers wake, drain, and see the closed signal.
+    auto q = TestFixture::make();
+    constexpr std::uint64_t kItems = 20'000;
+    std::atomic<std::uint64_t> received{0};
+    std::atomic<int> producers_left{2};
+    test::run_threads(4, [&](int id) {
+        if (id < 2) {
+            for (std::uint64_t i = 0; i < kItems / 2; ++i) {
+                ASSERT_TRUE(q.enqueue(test::tag(static_cast<unsigned>(id), i)));
+            }
+            if (producers_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+                q.close();
+            }
+        } else {
+            while (auto v = q.wait_dequeue()) {
+                received.fetch_add(1, std::memory_order_acq_rel);
+            }
+            // nullopt: closed and drained (for this consumer's view).
+        }
+    });
+    while (q.try_dequeue().has_value()) received.fetch_add(1);
+    EXPECT_EQ(received.load(), kItems);
+}
+
+TYPED_TEST(BlockingFacade, WaitForTimesOutWhenIdle) {
+    auto q = TestFixture::make();
+    const auto t0 = now_ns();
+    const WaitResult r = q.wait_dequeue_for(3'000'000);  // 3 ms
+    const auto elapsed = now_ns() - t0;
+    EXPECT_TRUE(r.timed_out()) << "idle open queue: timeout, not closed";
+    EXPECT_GE(elapsed, 2'000'000u) << "returned before the deadline";
+}
+
+TYPED_TEST(BlockingFacade, WaitForReturnsEarlyWithItem) {
+    auto q = TestFixture::make();
+    q.enqueue(9);
+    const auto t0 = now_ns();
+    const WaitResult r = q.wait_dequeue_for(1'000'000'000);  // 1 s budget
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value, 9u);
+    EXPECT_LT(now_ns() - t0, 500'000'000u) << "did not return promptly";
+}
+
+TYPED_TEST(BlockingFacade, WaitForSeesConcurrentProducer) {
+    auto q = TestFixture::make();
+    std::thread producer([&] {
+        spin_for_ns(1'000'000);
+        q.enqueue(77);
+    });
+    const WaitResult r = q.wait_dequeue_for(2'000'000'000);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value, 77u);
+    producer.join();
+}
+
+TYPED_TEST(BlockingFacade, WaitForAfterCloseDrainsThenClosed) {
+    auto q = TestFixture::make();
+    q.enqueue(5);
+    q.close();
+    const WaitResult first = q.wait_dequeue_for(1'000'000);
+    ASSERT_TRUE(first.ok());
+    EXPECT_EQ(first.value, 5u);
+    // Regression: the old API returned nullopt for both "timed out" and
+    // "closed and drained"; the tri-state must say closed here.
+    const WaitResult second = q.wait_dequeue_for(1'000'000);
+    EXPECT_TRUE(second.closed());
+    EXPECT_FALSE(second.timed_out());
+}
+
+TYPED_TEST(BlockingFacade, WaitForSleepsInsteadOfSpinning) {
+    // CPU-time witness for the busy-wait bugfix: the old wait_dequeue_for
+    // spin/yielded to the deadline, so a 200 ms idle wait burned ~200 ms
+    // of CPU.  The futex-backed wait must burn only a small fraction.
+    auto q = TestFixture::make();
+    constexpr std::uint64_t kWaitNs = 200'000'000;  // 200 ms
+    const std::uint64_t cpu0 = thread_cpu_ns();
+    const std::uint64_t t0 = now_ns();
+    const WaitResult r = q.wait_dequeue_for(kWaitNs);
+    const std::uint64_t wall = now_ns() - t0;
+    const std::uint64_t cpu = thread_cpu_ns() - cpu0;
+    EXPECT_TRUE(r.timed_out());
+    ASSERT_GE(wall, kWaitNs - 1'000'000) << "deadline not honored";
+    // The old implementation burned ~100% of wall as CPU; the sliced futex
+    // wait costs the 64 optimistic attempts plus ~20 wakeups.  Even on a
+    // loaded CI host, a quarter of the wall budget is an order of
+    // magnitude above what sleeping costs and far below what spinning did.
+    EXPECT_LT(cpu, wall / 4) << "wait_dequeue_for burned CPU like a spin loop";
+}
+
+TYPED_TEST(BlockingFacade, BoundedTryEnqueueShedsAtWatermark) {
+    auto q = TestFixture::make(/*capacity=*/8);
+    for (value_t v = 1; v <= 8; ++v) {
+        EXPECT_TRUE(q.try_enqueue(v)) << "under capacity";
+    }
+    EXPECT_FALSE(q.try_enqueue(9)) << "watermark reached: shed";
+    EXPECT_EQ(q.try_dequeue().value_or(0), 1u);
+    EXPECT_TRUE(q.try_enqueue(9)) << "space freed: accepted again";
+}
+
+TYPED_TEST(BlockingFacade, WaitEnqueueBlocksUntilSpace) {
+    auto q = TestFixture::make(/*capacity=*/4);
+    for (value_t v = 1; v <= 4; ++v) ASSERT_TRUE(q.try_enqueue(v));
+    std::thread consumer([&] {
+        spin_for_ns(2'000'000);
+        EXPECT_EQ(q.try_dequeue().value_or(0), 1u);
+    });
+    const WaitStatus st = q.wait_enqueue_for(5, 2'000'000'000);
+    EXPECT_EQ(st, WaitStatus::kOk) << "blocked producer must land after the dequeue";
+    consumer.join();
+}
+
+TYPED_TEST(BlockingFacade, WaitEnqueueTimesOutWhenFull) {
+    auto q = TestFixture::make(/*capacity=*/2);
+    ASSERT_TRUE(q.try_enqueue(1));
+    ASSERT_TRUE(q.try_enqueue(2));
+    const auto t0 = now_ns();
+    EXPECT_EQ(q.wait_enqueue_for(3, 3'000'000), WaitStatus::kTimeout);
+    EXPECT_GE(now_ns() - t0, 2'000'000u);
+    q.close();
+    EXPECT_EQ(q.wait_enqueue_for(4, 1'000'000), WaitStatus::kClosed);
+}
+
+TYPED_TEST(BlockingFacade, WaitEnqueueWakesOnClose) {
+    auto q = TestFixture::make(/*capacity=*/1);
+    ASSERT_TRUE(q.try_enqueue(1));
+    std::thread closer([&] {
+        spin_for_ns(2'000'000);
+        q.close();
+    });
+    EXPECT_EQ(q.wait_enqueue(2), WaitStatus::kClosed);
+    closer.join();
+}
+
+TYPED_TEST(BlockingFacade, DrainDeliversRemainderAndReportsComplete) {
+    auto q = TestFixture::make();
+    for (value_t v = 1; v <= 50; ++v) ASSERT_TRUE(q.enqueue(v));
+    std::vector<value_t> got;
+    const DrainReport rep =
+        q.drain(1'000'000'000, [&](value_t v) { got.push_back(v); });
+    EXPECT_TRUE(q.closed()) << "drain closes an open queue";
+    EXPECT_TRUE(rep.complete);
+    EXPECT_EQ(rep.drained, 50u);
+    EXPECT_EQ(rep.stragglers, 0u);
+    ASSERT_EQ(got.size(), 50u);
+    for (value_t v = 1; v <= 50; ++v) EXPECT_EQ(got[v - 1], v);
+}
+
+TYPED_TEST(BlockingFacade, DrainOnEmptyClosedQueueIsComplete) {
+    auto q = TestFixture::make();
+    q.close();
+    const DrainReport rep = q.drain(100'000'000);
+    EXPECT_TRUE(rep.complete);
+    EXPECT_EQ(rep.drained, 0u);
+}
+
+TYPED_TEST(BlockingFacade, DrainRacesConcurrentConsumersWithoutLoss) {
+    // drain() and wait_dequeue consumers split the remainder; nothing is
+    // lost and nothing is double-delivered.
+    auto q = TestFixture::make();
+    constexpr std::uint64_t kItems = 10'000;
+    for (std::uint64_t i = 0; i < kItems; ++i) {
+        ASSERT_TRUE(q.enqueue(test::tag(1, i)));
+    }
+    std::atomic<std::uint64_t> consumed{0};
+    std::atomic<std::uint64_t> drained{0};
+    test::run_threads(3, [&](int id) {
+        if (id == 0) {
+            const DrainReport rep = q.drain(2'000'000'000);
+            drained.fetch_add(rep.drained);
+        } else {
+            while (q.wait_dequeue().has_value()) consumed.fetch_add(1);
+        }
+    });
+    EXPECT_EQ(consumed.load() + drained.load(), kItems);
+}
+
+TYPED_TEST(BlockingFacade, DrainDeadlineHoldsAgainstSlowSink) {
     // Regression: drain() only consulted the clock after an EMPTY round, so
     // a backlog fed to a slow sink overran the deadline by the whole
     // backlog (50 items x 2 ms here = 100 ms against a 10 ms deadline).
-    BlockingQueue<> q;
+    auto q = TestFixture::make();
     for (value_t v = 1; v <= 50; ++v) ASSERT_TRUE(q.enqueue(v));
     const std::uint64_t start = now_ns();
     const DrainReport rep =
@@ -406,15 +424,43 @@ TEST(BlockingQueue, DrainDeadlineHoldsAgainstSlowSink) {
     EXPECT_LT(elapsed, 60'000'000u) << "deadline overrun: " << elapsed << " ns";
 }
 
-TEST(BlockingQueue, ShedAndBlockCountersFire) {
+TYPED_TEST(BlockingFacade, ShedAndBlockCountersFire) {
     stats::reset_all();
-    BlockingQueue<> q(QueueOptions{}, /*capacity=*/1);
+    auto q = TestFixture::make(/*capacity=*/1);
     ASSERT_TRUE(q.try_enqueue(1));
     EXPECT_FALSE(q.try_enqueue(2));
     EXPECT_EQ(q.wait_enqueue_for(3, 1'000'000), WaitStatus::kTimeout);
     const stats::Snapshot s = stats::global_snapshot();
     EXPECT_EQ(s[stats::Event::kShed], 2u) << "watermark refusal + bounded timeout";
     EXPECT_EQ(s[stats::Event::kBlockedEnq], 1u) << "the bounded wait registered";
+}
+
+TEST(BlockingQueue, EventcountTalliesStayExactUnderConcurrentPairs) {
+    // Over a base without approx_size the eventcounts are the size source:
+    // each admission and each dequeue must bump its count exactly once,
+    // whatever the interleaving, bounded or not.  T threads x N facade pairs
+    // (try_enqueue, then wait_dequeue_for) leave the size at 0 and each
+    // epoch advanced by exactly T*N.
+    constexpr int kThreads = 4;
+    constexpr std::uint64_t kPairs = 20'000;
+    for (const std::size_t capacity : {std::size_t{0}, std::size_t{1024}}) {
+        BlockingQueue<UniquePtrBase<AnyQueue>> q(
+            UniquePtrBase<AnyQueue>(make_queue("lcrq")), capacity);
+        const std::uint32_t items0 = q.items_epoch();
+        const std::uint32_t space0 = q.space_epoch();
+        test::run_threads(kThreads, [&](int id) {
+            for (std::uint64_t i = 0; i < kPairs; ++i) {
+                ASSERT_TRUE(q.try_enqueue(test::tag(static_cast<unsigned>(id), i)));
+                ASSERT_TRUE(q.wait_dequeue_for(1'000'000'000).ok());
+            }
+        });
+        const auto want = static_cast<std::uint32_t>(kThreads * kPairs);
+        EXPECT_EQ(q.approx_size(), 0u) << "capacity " << capacity;
+        EXPECT_EQ(static_cast<std::uint32_t>(q.items_epoch() - items0), want)
+            << "capacity " << capacity;
+        EXPECT_EQ(static_cast<std::uint32_t>(q.space_epoch() - space0), want)
+            << "capacity " << capacity;
+    }
 }
 
 }  // namespace
