@@ -93,6 +93,6 @@ int main(int argc, char** argv) {
                 "how long the run is.  two-lock-blind stalls a full scheduler quantum\n"
                 "whenever the OS deschedules a lock holder, so its throughput *decays\n"
                 "with run length* — try a larger tasks-per-worker argument, or see\n"
-                "bench/fig6b_oversubscribed for the systematic sweep.\n");
+                "`regress --figure fig6b` for the systematic sweep.\n");
     return 0;
 }

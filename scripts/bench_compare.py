@@ -5,9 +5,9 @@ Usage:
     bench_compare.py BASELINE.json NEW.json
     bench_compare.py --self-check
 
-Each artifact is a schema-versioned report written by the bench binaries
-(bench/regress or any binary's --json flag; schema reference in
-EXPERIMENTS.md).  Result entries are matched on their key fields (queue,
+Each artifact is a schema-versioned report written by bench/regress (the
+eight regression artifacts, or one per --figure preset; schema reference
+in EXPERIMENTS.md).  Result entries are matched on their key fields (queue,
 workload, threads, batch, ...) and every row of RULES below is applied to
 each matched pair; a row's comment says why its limits are what they are.
 

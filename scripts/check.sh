@@ -46,8 +46,6 @@ LCRQ_FORCE_NO_THP=1 ctest --test-dir build --output-on-failure -R \
 if command -v python3 >/dev/null 2>&1; then
   mkdir -p bench_artifacts
   ./build/bench/regress --smoke --out-dir bench_artifacts
-  ./build/bench/dispatch_server --smoke \
-    --json bench_artifacts/BENCH_dispatch_server.json
   python3 scripts/bench_compare.py --self-check
   python3 perfbench/run.py --selftest
   python3 perfbench/run.py --smoke

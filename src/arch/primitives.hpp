@@ -117,7 +117,7 @@ inline U128 load2(U128* target) noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Feature report used by bench/table1_primitives.
+// Feature report used by `regress --figure table1`.
 // ---------------------------------------------------------------------------
 
 struct PrimitiveSupport {

@@ -68,6 +68,10 @@ struct ProducerTally {
 
 DispatchResult run_dispatch(const DispatchConfig& cfg) {
     DispatchResult res;
+    // The TSC/ns ratio is calibrated lazily (~10 ms); force it here, or
+    // the first worker's service spin pays it inside the window and the
+    // requests that arrive meanwhile read a ~9 ms e2e tail.
+    (void)tsc_per_ns();
     QueueOptions qopt;
     qopt.ring_order = cfg.ring_order;
     auto base = make_queue(cfg.queue, qopt);

@@ -25,8 +25,8 @@
 //     reports the highest offered load whose p99 met the target with the
 //     shed rate under the bound ("max sustainable throughput").
 //
-// Used by bench/dispatch_server.cpp (standalone, full knobs) and the
-// bench/regress dispatch phase (canonical BENCH_dispatch.json artifact).
+// Used by bench/regress: its dispatch phase (the canonical
+// BENCH_dispatch.json artifact) and its dispatch_server figure preset.
 #pragma once
 
 #include <cstdint>

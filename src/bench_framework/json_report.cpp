@@ -210,10 +210,4 @@ bool JsonReport::write(const std::string& path) const {
     return ok;
 }
 
-bool JsonReport::write_if_requested(const Cli& cli) const {
-    const std::string path = cli.get("json");
-    if (path.empty()) return true;
-    return write(path);
-}
-
 }  // namespace lcrq::bench

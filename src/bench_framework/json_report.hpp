@@ -1,10 +1,10 @@
 // Machine-readable benchmark reports.
 //
-// Every bench binary can serialize its runs as a versioned JSON document
-// (the shared --json flag), and bench/regress emits the canonical
-// BENCH_queue_ops.json / BENCH_bulk_ops.json / BENCH_latency.json artifacts
-// that scripts/bench_compare.py gates regressions against.  One schema for
-// all binaries: host topology, the RunConfig, and per-configuration result
+// bench/regress serializes every run as a versioned JSON document: the
+// eight canonical BENCH_*.json artifacts (BENCH_queue_ops.json, ...) that
+// scripts/bench_compare.py gates regressions against, and one
+// BENCH_<id>.json per --figure preset.  One schema for all of them: host
+// topology, the RunConfig, and per-configuration result
 // entries carrying throughput (with the run-to-run cv the comparator's
 // noise model needs), the software-counter delta with derived atomics/op
 // and CAS-failure rates, and latency percentiles.  See EXPERIMENTS.md
@@ -14,7 +14,6 @@
 #include <string>
 
 #include "bench_framework/runner.hpp"
-#include "util/cli.hpp"
 #include "util/json.hpp"
 
 namespace lcrq::bench {
@@ -62,8 +61,8 @@ Json result_json(const std::string& queue, const RunConfig& cfg, const RunResult
 
 class JsonReport {
   public:
-    // `bench_id` names the producing experiment, e.g. "fig6a" or
-    // "regress/queue_ops".
+    // `bench_id` names the producing experiment, e.g.
+    // "fig6a_single_processor" or "regress/queue_ops".
     explicit JsonReport(std::string bench_id);
 
     // Record the sweep's base configuration (optional; once).
@@ -77,9 +76,6 @@ class JsonReport {
     // Serialize to `path`; returns false (with a message on stderr) if the
     // file cannot be written.
     bool write(const std::string& path) const;
-    // Honor the shared --json flag: writes when the flag is non-empty,
-    // silently succeeds otherwise.
-    bool write_if_requested(const Cli& cli) const;
 
   private:
     std::string bench_id_;

@@ -9,51 +9,6 @@
 
 namespace lcrq::bench {
 
-void add_common_flags(Cli& cli, const RunConfig& defaults, unsigned ring_order) {
-    cli.flag("threads", std::to_string(defaults.threads), "worker thread count");
-    cli.flag("pairs", std::to_string(defaults.pairs_per_thread),
-             "enqueue/dequeue pairs per thread (paper: 10000000)");
-    cli.flag("runs", std::to_string(defaults.runs), "runs to average (paper: 10)");
-    cli.flag("placement", topo::placement_name(defaults.placement),
-             "thread placement: single-cluster | round-robin | unpinned");
-    cli.flag("clusters", std::to_string(defaults.clusters),
-             "virtual cluster count (0 = discovered topology)");
-    cli.flag("delay-ns", std::to_string(defaults.max_delay_ns),
-             "max random inter-operation delay in ns (paper: 100)");
-    cli.flag("prefill", std::to_string(defaults.prefill),
-             "items enqueued before the clock starts");
-    cli.flag("ring-order", std::to_string(ring_order),
-             "log2 of the CRQ ring size (paper: 17)");
-    cli.flag("workload", workload_name(defaults.workload),
-             "workload shape: pairs (paper) | prodcons | mix");
-    cli.flag("csv", "false", "emit rows as CSV instead of an aligned table");
-    cli.flag("json", "",
-             "also write a machine-readable report to this path "
-             "(schema: EXPERIMENTS.md)");
-}
-
-RunConfig config_from_cli(const Cli& cli) {
-    RunConfig cfg;
-    cfg.threads = static_cast<int>(cli.get_int("threads"));
-    cfg.pairs_per_thread = static_cast<std::uint64_t>(cli.get_int("pairs"));
-    cfg.runs = static_cast<int>(cli.get_int("runs"));
-    topo::Placement p;
-    if (topo::parse_placement(cli.get("placement"), p)) cfg.placement = p;
-    Workload w;
-    if (parse_workload(cli.get("workload"), w)) cfg.workload = w;
-    cfg.clusters = static_cast<int>(cli.get_int("clusters"));
-    cfg.max_delay_ns = static_cast<std::uint64_t>(cli.get_int("delay-ns"));
-    cfg.prefill = static_cast<std::uint64_t>(cli.get_int("prefill"));
-    return cfg;
-}
-
-QueueOptions queue_options_from_cli(const Cli& cli) {
-    QueueOptions opt;
-    opt.ring_order = static_cast<unsigned>(cli.get_int("ring-order"));
-    opt.clusters = static_cast<int>(cli.get_int("clusters"));
-    return opt;
-}
-
 void print_banner(const std::string& experiment_id, const std::string& paper_claim,
                   const RunConfig& cfg) {
     const topo::Topology t = effective_topology(cfg);
@@ -75,18 +30,6 @@ void print_banner(const std::string& experiment_id, const std::string& paper_cla
                     "(see EXPERIMENTS.md)\n");
     }
     std::printf("\n");
-}
-
-std::vector<std::string> split_names(const std::string& csv) {
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos < csv.size()) {
-        const auto comma = csv.find(',', pos);
-        const auto end = comma == std::string::npos ? csv.size() : comma;
-        if (end > pos) out.push_back(csv.substr(pos, end - pos));
-        pos = end + 1;
-    }
-    return out;
 }
 
 std::string throughput_cell(const RunResult& r) {

@@ -1,8 +1,7 @@
-// Report helpers shared by the per-figure bench binaries: a standard
+// Report helpers for the benchmark binary (bench/regress): a standard
 // banner (experiment id, host topology, config, paper expectation),
-// uniform row formatting, and the common CLI flags — so every bench binary
-// reads alike and bench_output.txt reads like the paper's evaluation
-// section.
+// uniform row formatting, and the ring-size pick rule — so every phase and
+// figure preset reads alike, like the paper's evaluation section.
 #pragma once
 
 #include <cstdint>
@@ -10,20 +9,8 @@
 #include <vector>
 
 #include "bench_framework/runner.hpp"
-#include "util/cli.hpp"
 
 namespace lcrq::bench {
-
-// Register the flags every throughput bench shares (--threads, --pairs,
-// --runs, --placement, --clusters, --delay-ns, --prefill, --ring-order,
-// --csv, --json).  Defaults are laptop-scale; pass paper-scale values to
-// reproduce the original setup.  --json makes the binary also emit its
-// results as a machine-readable report (bench_framework/json_report.hpp).
-void add_common_flags(Cli& cli, const RunConfig& defaults, unsigned ring_order = 12);
-
-// Extract a RunConfig / QueueOptions from parsed common flags.
-RunConfig config_from_cli(const Cli& cli);
-QueueOptions queue_options_from_cli(const Cli& cli);
 
 // Print the experiment banner: what the paper shows, what this host is,
 // and how the run is configured.
@@ -31,9 +18,6 @@ void print_banner(const std::string& experiment_id, const std::string& paper_cla
                   const RunConfig& cfg);
 
 std::string throughput_cell(const RunResult& r);  // "12.34 Mops/s (cv 2%)"
-
-// "a,b,c" -> {"a","b","c"}; empty string -> empty vector.
-std::vector<std::string> split_names(const std::string& csv);
 
 // Ring-size autotune (bench/regress phase 8): one swept ring order and the
 // order the sweep recommends.

@@ -75,24 +75,6 @@ TEST(Runner, EffectiveTopologyHonorsClusterOverride) {
     EXPECT_EQ(t.num_clusters, 4);
 }
 
-TEST(Report, CommonFlagsRoundTrip) {
-    Cli cli("x", "y");
-    RunConfig defaults;
-    defaults.threads = 8;
-    defaults.pairs_per_thread = 123;
-    add_common_flags(cli, defaults, 9);
-    std::string a0 = "x", a1 = "--placement=round-robin", a2 = "--prefill=77";
-    char* argv[] = {a0.data(), a1.data(), a2.data()};
-    ASSERT_TRUE(cli.parse(3, argv));
-    const RunConfig cfg = config_from_cli(cli);
-    EXPECT_EQ(cfg.threads, 8);
-    EXPECT_EQ(cfg.pairs_per_thread, 123u);
-    EXPECT_EQ(cfg.placement, topo::Placement::kRoundRobin);
-    EXPECT_EQ(cfg.prefill, 77u);
-    const QueueOptions opt = queue_options_from_cli(cli);
-    EXPECT_EQ(opt.ring_order, 9u);
-}
-
 TEST(Report, ThroughputCellFormats) {
     RunResult r;
     r.throughput.add(2'000'000.0);
