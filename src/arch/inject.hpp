@@ -87,11 +87,12 @@ enum class Point : std::uint8_t {
                            //   done, about to sleep on the eventcount (a
                            //   kill here models a consumer/producer dying
                            //   while parked)
-    kBlockNotify,          // BlockingQueue, item published and epoch
-                           //   bumped, the futex wake not yet issued (a
-                           //   kill here models a producer dying between
-                           //   publish and notify — sleepers must still
-                           //   make progress via the sliced wait)
+    kBlockNotify,          // BlockingQueue, item published, a waiter seen
+                           //   and the epoch bumped, the futex wake not
+                           //   yet issued (a kill here models a producer
+                           //   dying between publish and notify — sleepers
+                           //   must still make progress via the sliced
+                           //   wait)
     kDrain,                // BlockingQueue::drain, one drain-loop pass (a
                            //   kill here models a consumer dying mid-drain)
     kCount

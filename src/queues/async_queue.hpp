@@ -4,20 +4,26 @@
 // not scale to millions of idle connections; parked coroutine frames do).
 //
 // Layering: AsyncQueue owns a BlockingQueue and builds its *suspension*
-// on the same epoch words the blocking facade sleeps on — an awaiter
-// snapshots the relevant epoch (items for dequeue, space for bounded
-// enqueue), retries the nonblocking op, and only parks when the epoch is
-// still unchanged after its waiter node is published.  Wakers (enqueue,
-// dequeue, close) pop the whole waiter stack and resume every parked
-// frame; a resumed frame re-runs its retry loop, so spurious wakeups are
-// harmless and the protocol needs no per-item handoff.
+// on the same epoch words the blocking facade sleeps on.  After a missed
+// nonblocking op a frame watches the relevant epoch (items for dequeue,
+// space for bounded enqueue): it snapshots the epoch and announces itself
+// as a watcher, retries the op once, and only parks when the epoch is
+// still unchanged after its waiter node is published; it retracts the
+// watch once it resumes.  Wakers (enqueue, dequeue, close) pop the whole
+// waiter stack and resume every parked frame; a resumed frame re-runs its
+// retry loop, so spurious wakeups are harmless and the protocol needs no
+// per-item handoff.
 //
-// Lost-wakeup freedom (the eventcount argument, restated for stacks):
-// the waiter pushes its node, fences (seq_cst), then re-reads the epoch;
-// the waker bumps the epoch (seq_cst RMW inside the blocking facade),
-// fences, then reads the stack head.  Either the waiter's re-read sees the
-// bump (it aborts the park and resumes itself), or the waker's read sees
-// the push and it pops and resumes the frame.
+// Lost-wakeup freedom (the eventcount argument, restated for stacks).  The
+// epoch moves only while a waiter is announced, so it takes two steps.
+// (1) The frame announces its watch (seq_cst RMW and fence) before its
+// retry; the publisher fences after its publish and then loads the waiter
+// word.  Either the retry sees the item, or the publisher sees the watcher
+// and bumps the epoch.  (2) The frame pushes its node, fences, then
+// re-reads the epoch; the waker bumps (seq_cst RMW inside the blocking
+// facade), then reads the stack head (seq_cst load).  Either the re-read
+// sees the bump (it aborts the park and resumes itself), or the waker's
+// read sees the push and it pops and resumes the frame.
 //
 // Node ownership: nodes are heap-allocated, one per park, and reference
 // counted by the two parties that may touch them concurrently: the
@@ -167,22 +173,10 @@ class AsyncQueue {
     // close() with the queue drained (same contract as wait_dequeue).
     Task<std::optional<value_t>> dequeue() {
         for (;;) {
-            const std::uint32_t epoch = bq_.items_epoch();
-            if (auto v = bq_.try_dequeue()) {
-                wake(producer_waiters_);  // bounded producers may be parked
-                co_return v;
-            }
-            if (bq_.closed()) {
-                // Bounded post-close re-check, shared with the blocking
-                // path: a zero-deadline wait drains or linearizes EMPTY.
-                WaitResult r = bq_.wait_dequeue_for(0);
-                if (r.ok()) {
-                    wake(producer_waiters_);
-                    co_return r.value;
-                }
-                co_return std::nullopt;
-            }
-            co_await ParkAwaiter(*this, consumer_waiters_, epoch, Side::kItems);
+            if (auto r = attempt_dequeue()) co_return *r;
+            const detail::Waiter watch = bq_.watch_items();
+            if (auto r = attempt_dequeue()) co_return *r;
+            co_await ParkAwaiter(*this, consumer_waiters_, watch.observed(), Side::kItems);
         }
     }
 
@@ -193,17 +187,10 @@ class AsyncQueue {
     // per retry (the async path never sheds: it parks or fails closed).
     Task<bool> enqueue(value_t x) {
         for (;;) {
-            const std::uint32_t epoch = bq_.space_epoch();
-            switch (bq_.try_admit(x)) {
-                case Admission::kAccepted:
-                    wake(consumer_waiters_);  // parked consumer frames, if any
-                    co_return true;
-                case Admission::kClosed:
-                    co_return false;
-                case Admission::kFull:
-                    break;
-            }
-            co_await ParkAwaiter(*this, producer_waiters_, epoch, Side::kSpace);
+            if (auto r = attempt_enqueue(x)) co_return *r;
+            const detail::Waiter watch = bq_.watch_space();
+            if (auto r = attempt_enqueue(x)) co_return *r;
+            co_await ParkAwaiter(*this, producer_waiters_, watch.observed(), Side::kSpace);
         }
     }
 
@@ -229,6 +216,34 @@ class AsyncQueue {
     BlockingQueue<Base>& blocking() noexcept { return bq_; }
 
   private:
+    // One nonblocking dequeue: the coroutine's result, or nullopt to park.
+    std::optional<std::optional<value_t>> attempt_dequeue() {
+        if (auto v = bq_.try_dequeue()) {
+            wake(producer_waiters_);  // bounded producers may be parked
+            return v;
+        }
+        if (!bq_.closed()) return std::nullopt;
+        // Bounded post-close re-check, shared with the blocking path: a
+        // zero-deadline wait drains or linearizes EMPTY.
+        const WaitResult r = bq_.wait_dequeue_for(0);
+        if (r.ok()) wake(producer_waiters_);
+        return r.to_optional();
+    }
+
+    // One admission: the coroutine's result, or nullopt to park.
+    std::optional<bool> attempt_enqueue(value_t x) {
+        switch (bq_.try_admit(x)) {
+            case Admission::kAccepted:
+                wake(consumer_waiters_);  // parked consumer frames, if any
+                return true;
+            case Admission::kClosed:
+                return false;
+            case Admission::kFull:
+                break;
+        }
+        return std::nullopt;
+    }
+
     enum class Side : std::uint8_t { kItems, kSpace };
     enum : int { kParked = 0, kResumed = 1, kAborted = 2 };
 
@@ -280,9 +295,10 @@ class AsyncQueue {
             auto* node = new WaiterNode;
             node->handle = h;
             stack_.push(node);
-            // The fence pairs with the waker's seq_cst epoch bump: after
-            // it, either we observe the bump (abort the park) or our push
-            // is visible to the waker's pop_all.
+            // The fence pairs with the waker's seq_cst epoch bump (our
+            // watch makes every signal bump): after it, either we observe
+            // the bump (abort the park) or our push is visible to the
+            // waker's pop_all.
             std::atomic_thread_fence(std::memory_order_seq_cst);
             if (epoch_changed(bq, side, observed)) {
                 int expected = kParked;
@@ -319,11 +335,14 @@ class AsyncQueue {
     // Resume every parked frame on `stack`.  Each pop drops the stack's
     // reference; the node is freed once the awaiter has dropped its own
     // (aborted nodes — their frame already resumed itself — only get the
-    // reference drop here).  An empty head skips the pop's xchg: by the
-    // file comment's fence argument, a missed waiter sees the bump.
+    // reference drop here).  Every caller has just run a facade op whose
+    // signal fenced and, if a watcher was announced, bumped the epoch with
+    // a seq_cst RMW; the seq_cst head load after it is step (2) of the file
+    // comment, so an empty head skips the pop's xchg: a missed waiter sees
+    // the bump.  Without a watcher no frame can be parked waiting for this
+    // op (step 1), so the head load only saves the pop.
     void wake(WaiterStack& stack) {
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        if (stack.head.load(std::memory_order_relaxed) == nullptr) return;
+        if (stack.head.load(std::memory_order_seq_cst) == nullptr) return;
         WaiterNode* n = stack.pop_all();
         while (n != nullptr) {
             WaiterNode* next = n->next;

@@ -5,11 +5,12 @@
 // are about).  Applications that want consumers to sleep when idle — and
 // producers to feel backpressure instead of growing the queue without
 // bound — layer this facade on top.  Two futex eventcounts turn the
-// nonblocking operations into blocking ones without touching the queue's
-// hot path: consumers only enter the futex slow path after the fast
-// dequeue misses, producers only pay a wake syscall when a waiter is
-// registered, and (bounded mode) producers sleep on a second eventcount
-// that dequeues bump.
+// nonblocking operations into blocking ones without a shared write on the
+// queue's hot path: a signal is a fence plus one load of the waiter word,
+// and only a registered waiter makes an enqueue (or, bounded, a dequeue)
+// bump an epoch or pay a wake syscall.  Consumers sleep on the items
+// eventcount after the fast dequeue misses; bounded producers sleep on the
+// space eventcount.
 //
 // Semantics:
 //   try_enqueue(x)      — nonblocking admission: false when closed, at the
@@ -38,13 +39,17 @@
 //                         deadline; reports {drained, complete,
 //                         stragglers}.
 //
-// Capacity model: the watermark reads the base's approx_size() when it
-// has one (LCRQ/LSCQ/SCQ/wCQ all do); otherwise it reads admissions minus
-// dequeues off the two eventcounts, which tally both already, so the
-// fallback costs no extra RMW.  Either size is approximate under
-// concurrency, so capacity is a watermark, not a hard invariant — transient
-// overshoot by the number of in-flight enqueuers is possible and fine for
-// backpressure (the server-side shed accounting is exact either way).
+// Capacity model: the watermark reads the facade's admission tally
+// (detail::Tally): admissions minus dequeues, one signed slot per thread,
+// each thread folding its slot into one shared word every B operations,
+// B = clamp(capacity / (2 kMaxThreads), 1, 64).  An admission reads only
+// the shared word and its own slot while their bound is below capacity,
+// and sums every slot before it refuses.  Over a base without its own
+// approx_size() the tally is also the size.  Any size is approximate under
+// concurrency, so capacity is a watermark, not a hard invariant —
+// transient overshoot by the number of in-flight enqueuers is possible and
+// fine for backpressure (the server-side shed accounting is exact either
+// way).
 //
 // Post-close drain: a single EMPTY observation after close() is not
 // conclusive — enqueuers admitted before the close may still be
@@ -55,7 +60,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <concepts>
 #include <cstdint>
 #include <memory>
@@ -64,6 +68,7 @@
 
 #if defined(__linux__)
 #include <linux/futex.h>
+#include <sys/mman.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 
@@ -71,12 +76,16 @@
 #include <ctime>
 #else
 #include <chrono>
+#include <cstdlib>
+#include <cstring>
 #include <thread>
 #endif
 
 #include "arch/backoff.hpp"
+#include "arch/cacheline.hpp"
 #include "arch/counters.hpp"
 #include "arch/inject.hpp"
+#include "arch/thread_id.hpp"
 #include "queues/lcrq.hpp"
 #include "queues/queue_common.hpp"
 #include "util/timing.hpp"
@@ -121,35 +130,49 @@ struct DrainReport {
 
 namespace detail {
 
-// Futex eventcount: an exact 64-bit count of signals + a waiter count so
-// the notifier's wake syscall is skipped when nobody sleeps.  FUTEX_WAIT
-// compares exactly 4 bytes, so sleepers wait on the low half (prepare()'s
-// epoch); its wraparound after 2^32 signals is harmless (a sleeper whose
-// observed epoch is re-reached after a full wrap eats one spurious slice
-// timeout and re-checks).
+// Futex eventcount gated on its waiters.  A waiter registers in the waiter
+// word — a sleeping thread as kSleeper, a coroutine frame watching the
+// epoch as kWatcher — and a signal is a seq_cst fence plus one load of
+// that word: the epoch moves only while someone waits, and the wake
+// syscall is paid only for sleepers.
+//
+// Waiter order: snapshot the epoch, announce, fence, re-check the
+// condition, sleep while the epoch still equals the snapshot.  Signaler
+// order: publish, fence, load the waiter word, bump, wake.  The two fences
+// make it a store-buffer pair: either the waiter's re-check sees the
+// publish, or the signaler's load sees the waiter and moves the epoch past
+// the snapshot (a futex wait on a moved epoch returns at once).  FUTEX_WAIT
+// compares the 32-bit epoch; its wrap after 2^32 bumps is harmless (a
+// sleeper whose observed epoch is re-reached after a full wrap eats one
+// spurious slice timeout and re-checks).
 class EventCount {
   public:
-    // Snapshot the epoch *before* the final condition re-check; pass it to
-    // wait_slice so a signal between re-check and sleep is never missed.
-    std::uint32_t prepare() const noexcept {
-        return static_cast<std::uint32_t>(count_.load(std::memory_order_acquire));
+    static constexpr std::uint64_t kSleeper = 1;
+    static constexpr std::uint64_t kWatcher = std::uint64_t{1} << 32;
+
+    std::uint32_t epoch() const noexcept { return epoch_.load(std::memory_order_acquire); }
+
+    void announce(std::uint64_t unit) noexcept {
+        waiters_.fetch_add(unit, std::memory_order_seq_cst);
+        std::atomic_thread_fence(std::memory_order_seq_cst);
     }
-    std::uint64_t count() const noexcept { return count_.load(std::memory_order_acquire); }
+    void retract(std::uint64_t unit) noexcept {
+        waiters_.fetch_sub(unit, std::memory_order_seq_cst);
+    }
 
-    void announce_waiter() noexcept { waiters_.fetch_add(1, std::memory_order_seq_cst); }
-    void retract_waiter() noexcept { waiters_.fetch_sub(1, std::memory_order_seq_cst); }
-
-    // Publish "the condition may have changed".  The seq_cst count bump
-    // orders against the waiter-side announce+re-check: either the sleeper
-    // sees the new epoch and refuses to sleep, or the signaler sees the
-    // registered waiter and issues the wake.
-    void bump() noexcept { count_.fetch_add(1, std::memory_order_seq_cst); }
-    void wake_if_waiters() noexcept {
-        if (waiters_.load(std::memory_order_seq_cst) != 0) wake_all();
+    // Publish "the condition may have changed".  `between` runs after the
+    // bump and before the wake: the injection harness's notify window.
+    template <typename Between>
+    void signal(Between between) {
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+        const std::uint64_t w = waiters_.load(std::memory_order_relaxed);
+        if (w == 0) return;
+        epoch_.fetch_add(1, std::memory_order_seq_cst);
+        between();
+        if (w % kWatcher != 0) wake_all();
     }
     void signal() noexcept {
-        bump();
-        wake_if_waiters();
+        signal([] {});
     }
 
     // Sleep until the epoch moves past `observed` or roughly `slice_ns`
@@ -166,7 +189,7 @@ class EventCount {
         ts.tv_nsec = static_cast<long>(slice_ns % 1'000'000'000u);
         syscall(SYS_futex, futex_word(), FUTEX_WAIT_PRIVATE, observed, &ts, nullptr, 0);
 #else
-        if (prepare() == observed) {
+        if (epoch() == observed) {
             constexpr std::uint64_t kFallbackCapNs = 1'000'000;  // poll at >= 1kHz
             std::this_thread::sleep_for(
                 std::chrono::nanoseconds(std::min(slice_ns, kFallbackCapNs)));
@@ -182,34 +205,169 @@ class EventCount {
         // Fallback sleepers poll on slice expiry; no wake needed.
     }
 
-    static_assert(std::endian::native == std::endian::little);  // low half first
-    std::uint32_t* futex_word() noexcept { return reinterpret_cast<std::uint32_t*>(&count_); }
+    std::uint32_t* futex_word() noexcept { return reinterpret_cast<std::uint32_t*>(&epoch_); }
 
-    static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
-    alignas(kCacheLineSize) std::atomic<std::uint64_t> count_{0};
-    alignas(kCacheLineSize) std::atomic<std::uint32_t> waiters_{0};
+    static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t));
+    alignas(kCacheLineSize) std::atomic<std::uint32_t> epoch_{0};
+    alignas(kCacheLineSize) std::atomic<std::uint64_t> waiters_{0};
 };
 
-// Decrement-on-unwind guard: a waiter killed while parked (injection
-// harness) must not leave the waiter count stuck high, or producers would
-// pay wake syscalls forever.
-class WaiterGuard {
+// One wait's registration on an eventcount: snapshots the epoch, then
+// announces `unit` (kSleeper or kWatcher); the destructor retracts it —
+// also when a waiter killed while parked (injection harness) unwinds, so
+// the waiter word never stays high and signalers never keep bumping.
+class Waiter {
   public:
-    explicit WaiterGuard(EventCount& ec) noexcept : ec_(ec) { ec_.announce_waiter(); }
-    ~WaiterGuard() { ec_.retract_waiter(); }
-    WaiterGuard(const WaiterGuard&) = delete;
-    WaiterGuard& operator=(const WaiterGuard&) = delete;
+    Waiter(EventCount& ec, std::uint64_t unit) noexcept
+        : ec_(ec), unit_(unit), observed_(ec.epoch()) {
+        ec_.announce(unit_);
+    }
+    ~Waiter() { ec_.retract(unit_); }
+    Waiter(const Waiter&) = delete;
+    Waiter& operator=(const Waiter&) = delete;
+
+    std::uint32_t observed() const noexcept { return observed_; }
 
   private:
     EventCount& ec_;
+    const std::uint64_t unit_;
+    const std::uint32_t observed_;
+};
+
+// Admission tally: admissions minus dequeues with no shared write per
+// operation.  Each dense thread id owns one slot whose `net` is that
+// thread's running admissions minus dequeues on this facade — signed, as
+// a consumer-only thread goes negative — and only the owner writes it.
+// The count is the sum of the slots; as in multilane.hpp, `slot_limit_`
+// (raised by a one-time CAS before a thread's first store) bounds how many
+// slots a sum reads.
+//
+// For the watermark's fast test each thread also folds its unfolded part
+// (net minus what it folded before) into the shared word `folded_` once
+// that part reaches +-B.  Every slot at rest holds less than B unfolded, so
+//     count <= folded_ + own unfolded + (B - 1) * kMaxThreads,
+// and B = clamp(capacity / (2 kMaxThreads), 1, 64) keeps that slack at or
+// below capacity / 2.  While the bound is below capacity an admission
+// reads nothing of other threads; otherwise it sums the slots before it
+// refuses.  With B = 1 every operation folds, and `folded_` is the exact
+// per-op count.  A sum never reads `folded_`, so a fold in flight can
+// neither count an item twice nor hide one from it.
+//
+// The slots live in a zero-filled anonymous mapping: the pages of slots
+// no thread uses are never touched.
+class Tally {
+  public:
+    struct alignas(kDestructivePairSize) Slot {
+        std::int64_t net;     // owner stores, sums load (atomic_ref)
+        std::int64_t folded;  // owner only: net at its last fold
+        bool covered;         // owner only: slot_limit_ covers this id
+    };
+
+    // A disabled tally maps nothing and mine() is null.
+    Tally(std::size_t capacity, bool enabled)
+        : fold_(fold_for(capacity)),
+          slack_((fold_ > 0 ? fold_ - 1 : 0) * static_cast<std::int64_t>(kMaxThreads)),
+          slots_(enabled ? map_slots() : nullptr) {}
+    ~Tally() { unmap_slots(slots_); }
+    Tally(const Tally&) = delete;
+    Tally& operator=(const Tally&) = delete;
+
+    // This thread's slot (covered on first use), or null when disabled.
+    Slot* mine() noexcept {
+        if (slots_ == nullptr) return nullptr;
+        const std::size_t id = thread_index();
+        Slot& s = slots_[id];
+        if (!s.covered) cover(id, s);
+        return &s;
+    }
+
+    // One admission (+1) or dequeue (-1) by the thread owning `s`.
+    void add(Slot& s, std::int64_t d) noexcept {
+        const std::int64_t net = load(s) + d;
+        std::atomic_ref<std::int64_t>(s.net).store(net, std::memory_order_relaxed);
+        if (fold_ == 0) return;
+        const std::int64_t unfolded = net - s.folded;
+        if (unfolded >= fold_ || unfolded <= -fold_) {
+            folded_.fetch_add(unfolded, std::memory_order_relaxed);
+            s.folded = net;
+        }
+    }
+
+    // True when the count has reached `capacity`: the fast bound first,
+    // the sum of the slots only when the bound does not clear it.
+    bool full(Slot& s, std::int64_t capacity) const noexcept {
+        const std::int64_t bound =
+            folded_.load(std::memory_order_relaxed) + (load(s) - s.folded) + slack_;
+        return bound >= capacity && sum() >= capacity;
+    }
+
+    // Admissions minus dequeues over every slot; exact at quiescence.
+    std::int64_t sum() const noexcept {
+        if (slots_ == nullptr) return 0;
+        const std::uint32_t n = slot_limit_.load(std::memory_order_acquire);
+        std::int64_t total = 0;
+        for (std::uint32_t i = 0; i < n; ++i) total += load(slots_[i]);
+        return total;
+    }
+
+  private:
+    static constexpr std::int64_t kMaxFold = 64;
+    static constexpr std::size_t kSlotBytes = sizeof(Slot) * kMaxThreads;
+
+    // No watermark (capacity 0): nothing reads folded_, so never fold.
+    static std::int64_t fold_for(std::size_t capacity) noexcept {
+        if (capacity == 0) return 0;
+        const std::size_t b = capacity / (2 * kMaxThreads);
+        return static_cast<std::int64_t>(std::clamp<std::size_t>(b, 1, kMaxFold));
+    }
+
+    static std::int64_t load(Slot& s) noexcept {
+        return std::atomic_ref<std::int64_t>(s.net).load(std::memory_order_relaxed);
+    }
+
+    void cover(std::size_t id, Slot& s) noexcept {
+        const auto want = static_cast<std::uint32_t>(id) + 1;
+        std::uint32_t cur = slot_limit_.load(std::memory_order_acquire);
+        while (cur < want && !slot_limit_.compare_exchange_weak(cur, want,
+                                                                 std::memory_order_seq_cst,
+                                                                 std::memory_order_acquire)) {
+        }
+        s.covered = true;
+    }
+
+    static Slot* map_slots() {
+#if defined(__linux__)
+        void* p = ::mmap(nullptr, kSlotBytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (p == MAP_FAILED) alloc_failure();
+#else
+        void* p = check_alloc(std::aligned_alloc(alignof(Slot), kSlotBytes));
+        std::memset(p, 0, kSlotBytes);
+#endif
+        return static_cast<Slot*>(p);
+    }
+    static void unmap_slots(Slot* p) noexcept {
+        if (p == nullptr) return;
+#if defined(__linux__)
+        ::munmap(p, kSlotBytes);
+#else
+        std::free(p);
+#endif
+    }
+
+    const std::int64_t fold_;   // B; 0 = never fold
+    const std::int64_t slack_;  // (B - 1) * kMaxThreads
+    Slot* const slots_;
+    alignas(kCacheLineSize) std::atomic<std::uint32_t> slot_limit_{0};
+    alignas(kCacheLineSize) std::atomic<std::int64_t> folded_{0};
 };
 
 }  // namespace detail
 
 // Adapter so the facade composes over a registry-constructed backend:
 // BlockingQueue<UniquePtrBase<AnyQueue>> wraps any catalog queue picked at
-// runtime.  AnyQueue exposes only the total enqueue/dequeue, so the facade
-// falls back to its eventcounts' tallies for the capacity watermark.
+// runtime.  AnyQueue exposes only the total enqueue/dequeue, so the facade's
+// admission tally is its approx_size() too.
 template <typename Q>
 class UniquePtrBase {
   public:
@@ -248,11 +406,11 @@ class BlockingQueue {
   public:
     // capacity == 0 means unbounded (no watermark, no shedding).
     explicit BlockingQueue(const QueueOptions& opt = {}, std::size_t capacity = 0)
-        : base_(opt), capacity_(capacity) {}
+        : base_(opt), capacity_(capacity), tally_(capacity, keeps_tally(capacity)) {}
     // Adopt an externally constructed base (e.g. UniquePtrBase over a
     // registry queue).
     explicit BlockingQueue(Base base, std::size_t capacity = 0)
-        : base_(std::move(base)), capacity_(capacity) {}
+        : base_(std::move(base)), capacity_(capacity), tally_(capacity, keeps_tally(capacity)) {}
 
     BlockingQueue(const BlockingQueue&) = delete;
     BlockingQueue& operator=(const BlockingQueue&) = delete;
@@ -284,8 +442,8 @@ class BlockingQueue {
         return wait_enqueue_until(x, saturating_deadline(timeout_ns));
     }
 
-    // Bounded-mode producer wait: sleeps on the space eventcount (bumped by
-    // every successful dequeue) until the item is admitted, the queue
+    // Bounded-mode producer wait: sleeps on the space eventcount (signaled
+    // by every successful dequeue) until the item is admitted, the queue
     // closes, or the deadline passes.  A timeout counts as a shed — the
     // caller's request is dropped at the watermark, just later.
     WaitStatus wait_enqueue_until(value_t x, std::uint64_t deadline_ns) {
@@ -303,9 +461,8 @@ class BlockingQueue {
             // Slow path: register on the space eventcount, re-check (a
             // dequeue may have landed between the miss and registration),
             // then sleep one slice.
-            const std::uint32_t observed = space_ec_.prepare();
             {
-                detail::WaiterGuard guard(space_ec_);
+                const detail::Waiter waiter(space_ec_, detail::EventCount::kSleeper);
                 if (auto st = settled(admit(x))) return *st;
                 if (!counted_block) {
                     stats::count(stats::Event::kBlockedEnq);
@@ -317,7 +474,7 @@ class BlockingQueue {
                     stats::count(stats::Event::kShed);
                     return WaitStatus::kTimeout;
                 }
-                space_ec_.wait_slice(observed,
+                space_ec_.wait_slice(waiter.observed(),
                                      std::min(deadline_ns - nw, kMaxSliceNs));
             }
             spinner.reset();
@@ -358,9 +515,8 @@ class BlockingQueue {
                 if (now_ns() >= deadline_ns) return {WaitStatus::kTimeout, kBottom};
                 spinner.spin();
             }
-            const std::uint32_t observed = items_ec_.prepare();
             {
-                detail::WaiterGuard guard(items_ec_);
+                const detail::Waiter waiter(items_ec_, detail::EventCount::kSleeper);
                 if (auto v = try_dequeue()) return {WaitStatus::kOk, *v};
                 if (closed_.load(std::memory_order_acquire)) return drain_after_close();
                 if (!counted_block) {
@@ -370,7 +526,8 @@ class BlockingQueue {
                 LCRQ_INJECT_POINT(kBlockWait);
                 const std::uint64_t nw = now_ns();
                 if (nw >= deadline_ns) return {WaitStatus::kTimeout, kBottom};
-                items_ec_.wait_slice(observed, std::min(deadline_ns - nw, kMaxSliceNs));
+                items_ec_.wait_slice(waiter.observed(),
+                                     std::min(deadline_ns - nw, kMaxSliceNs));
             }
             spinner.reset();
         }
@@ -426,27 +583,37 @@ class BlockingQueue {
     // --- introspection -----------------------------------------------------
 
     // Items currently inside, approximately: the base's hazard-protected
-    // segment walk when available, else the eventcounts' admissions minus
-    // dequeues, read in the order that cannot overstate: dequeues landing
-    // between the reads only shrink the result (clamped at 0).
+    // segment walk when available, else the admission tally (clamped at 0:
+    // a dequeue may count before the admission of its item does).
     std::uint64_t approx_size() {
         if constexpr (kBaseHasApproxSize) {
             return base_.approx_size();
         } else {
-            const std::uint64_t enq = items_ec_.count();
-            const std::uint64_t deq = space_ec_.count();
-            return enq > deq ? enq - deq : 0;
+            return static_cast<std::uint64_t>(std::max<std::int64_t>(tally(), 0));
         }
     }
+
+    // Admissions minus dequeues over every thread's tally slot, signed and
+    // exact at quiescence; 0 when the facade keeps no tally (unbounded over
+    // a base with its own approx_size).
+    std::int64_t tally() const noexcept { return tally_.sum(); }
 
     std::size_t capacity() const noexcept { return capacity_; }
     Base& base() noexcept { return base_; }
 
-    // Epoch snapshots for layers that build their own waiters on the same
-    // words (the coroutine facade): capture before the final nonblocking
-    // re-check, compare after registering, exactly like wait_slice callers.
-    std::uint32_t items_epoch() const noexcept { return items_ec_.prepare(); }
-    std::uint32_t space_epoch() const noexcept { return space_ec_.prepare(); }
+    // Epoch watches for layers that park their own waiters on these words
+    // (the coroutine facade).  The registration snapshots the epoch and
+    // announces a watcher, so every later signal moves the epoch until the
+    // registration is dropped: re-check the condition after taking it, then
+    // compare items_epoch()/space_epoch() against observed().
+    detail::Waiter watch_items() noexcept {
+        return detail::Waiter(items_ec_, detail::EventCount::kWatcher);
+    }
+    detail::Waiter watch_space() noexcept {
+        return detail::Waiter(space_ec_, detail::EventCount::kWatcher);
+    }
+    std::uint32_t items_epoch() const noexcept { return items_ec_.epoch(); }
+    std::uint32_t space_epoch() const noexcept { return space_ec_.epoch(); }
 
   private:
     static constexpr int kFastAttempts = 64;
@@ -467,17 +634,10 @@ class BlockingQueue {
         return a == Admission::kAccepted ? WaitStatus::kOk : WaitStatus::kClosed;
     }
 
-    // Over the eventcounts the first test reads the space count first, the
-    // order measured fastest on the admission path.  It can overstate by
-    // the dequeues between its reads (a reader preempted there would shed
-    // on a near-empty queue), so a "full" is confirmed by approx_size().
-    bool at_watermark() {
-        if constexpr (!kBaseHasApproxSize) {
-            const std::uint64_t deq = space_ec_.count();
-            const std::uint64_t enq = items_ec_.count();
-            if (enq < deq + capacity_) return false;
-        }
-        return approx_size() >= capacity_;
+    // The watermark needs the tally, and so does approx_size() over a base
+    // without its own.
+    static bool keeps_tally(std::size_t capacity) noexcept {
+        return capacity != 0 || !kBaseHasApproxSize;
     }
 
     // One admission attempt: closed check, watermark check, base insert,
@@ -485,7 +645,11 @@ class BlockingQueue {
     // final (try_enqueue) or retryable (wait_enqueue).
     Admission admit(value_t x) {
         if (closed_.load(std::memory_order_acquire)) return Admission::kClosed;
-        if (capacity_ != 0 && at_watermark()) return Admission::kFull;
+        detail::Tally::Slot* const slot = tally_.mine();
+        if (capacity_ != 0 &&
+            tally_.full(*slot, static_cast<std::int64_t>(capacity_))) {
+            return Admission::kFull;
+        }
         if constexpr (kBaseHasTryEnqueue) {
             // A base-side refusal is either a full bounded ring (retryable:
             // a dequeue frees a slot) or a base closed directly via
@@ -503,21 +667,20 @@ class BlockingQueue {
         } else {
             base_.enqueue(x);
         }
-        // Epoch bump + conditional wake: only consumers that already
-        // registered as waiters cost this producer a futex syscall.  The
-        // injection point sits exactly in the publish-to-wake window.
-        items_ec_.bump();
-        LCRQ_INJECT_POINT(kBlockNotify);
-        items_ec_.wake_if_waiters();
+        if (slot != nullptr) tally_.add(*slot, +1);
+        // Only registered waiters cost this producer an epoch bump, and
+        // only sleepers a futex syscall.  The injection point sits exactly
+        // in the bump-to-wake window.
+        items_ec_.signal([] { LCRQ_INJECT_POINT(kBlockNotify); });
         return Admission::kAccepted;
     }
 
     void note_dequeued() {
-        // Producers may be parked on the space eventcount: always when the
-        // facade is bounded, and even with capacity_ == 0 when the *base*
-        // ring is bounded (admit() reports its full as retryable kFull).
-        // Without a base approx_size the space count is the dequeue tally.
-        if (kBaseIsBounded || capacity_ != 0 || !kBaseHasApproxSize) space_ec_.signal();
+        if (detail::Tally::Slot* const slot = tally_.mine()) tally_.add(*slot, -1);
+        // Producers may wait for space: always when the facade is bounded,
+        // and even with capacity_ == 0 when the *base* ring is bounded
+        // (admit() reports its full as retryable kFull).
+        if (kBaseIsBounded || capacity_ != 0) space_ec_.signal();
     }
 
     // Closed observed on the dequeue path: deliver any remaining item.  One
@@ -535,6 +698,7 @@ class BlockingQueue {
 
     Base base_;
     const std::size_t capacity_;
+    detail::Tally tally_;
     detail::EventCount items_ec_;  // consumers sleep; enqueues signal
     detail::EventCount space_ec_;  // bounded producers sleep; dequeues signal
     alignas(kCacheLineSize) std::atomic<bool> closed_{false};

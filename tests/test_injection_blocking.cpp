@@ -1,7 +1,7 @@
 // Schedule injection against the blocking facade's sleep/notify protocol:
 // a producer killed between publishing and waking (the lost-notify
 // adversary the sliced wait exists for), a drainer killed mid-sweep, a
-// bounded producer killed while registered as a waiter (the WaiterGuard
+// bounded producer killed while registered as a waiter (the Waiter
 // unwind), and a seeded random sweep over the bounded-enqueue wait window.
 //
 // Uses the LSCQ base: its hot paths carry no cmpxchg16b, so this binary is
@@ -126,7 +126,7 @@ TEST_F(InjectBlocking, KilledDrainerDoesNotBlockShutdown) {
 }
 
 // A bounded producer killed at kBlockWait dies while announced on the
-// space eventcount; the WaiterGuard unwind must retract the registration
+// space eventcount; the Waiter's unwind must retract the registration
 // so the facade stays fully functional — no deadlock, no wake storm, and
 // subsequent bounded waits still time out and close out correctly.
 TEST_F(InjectBlocking, KilledBoundedProducerUnwindKeepsFacadeUsable) {

@@ -435,31 +435,28 @@ TYPED_TEST(BlockingFacade, ShedAndBlockCountersFire) {
     EXPECT_EQ(s[stats::Event::kBlockedEnq], 1u) << "the bounded wait registered";
 }
 
-TEST(BlockingQueue, EventcountTalliesStayExactUnderConcurrentPairs) {
-    // Over a base without approx_size the eventcounts are the size source:
-    // each admission and each dequeue must bump its count exactly once,
-    // whatever the interleaving, bounded or not.  T threads x N facade pairs
-    // (try_enqueue, then wait_dequeue_for) leave the size at 0 and each
-    // epoch advanced by exactly T*N.
+TEST(BlockingQueue, AdmissionTallyBalancesUnderConcurrentPairs) {
+    // Over a base without approx_size the admission tally is the size
+    // source: each admission and each dequeue must count exactly once in
+    // its thread's slot, whatever the interleaving, bounded or not.  T
+    // threads x N facade pairs (try_enqueue, then wait_dequeue_for) on a
+    // near-empty queue shed nothing and leave the slots summing to 0.
     constexpr int kThreads = 4;
     constexpr std::uint64_t kPairs = 20'000;
     for (const std::size_t capacity : {std::size_t{0}, std::size_t{1024}}) {
         BlockingQueue<UniquePtrBase<AnyQueue>> q(
             UniquePtrBase<AnyQueue>(make_queue("lcrq")), capacity);
-        const std::uint32_t items0 = q.items_epoch();
-        const std::uint32_t space0 = q.space_epoch();
+        const stats::Snapshot before = stats::global_snapshot();
         test::run_threads(kThreads, [&](int id) {
             for (std::uint64_t i = 0; i < kPairs; ++i) {
                 ASSERT_TRUE(q.try_enqueue(test::tag(static_cast<unsigned>(id), i)));
                 ASSERT_TRUE(q.wait_dequeue_for(1'000'000'000).ok());
             }
         });
-        const auto want = static_cast<std::uint32_t>(kThreads * kPairs);
+        const stats::Snapshot delta = stats::global_snapshot() - before;
         EXPECT_EQ(q.approx_size(), 0u) << "capacity " << capacity;
-        EXPECT_EQ(static_cast<std::uint32_t>(q.items_epoch() - items0), want)
-            << "capacity " << capacity;
-        EXPECT_EQ(static_cast<std::uint32_t>(q.space_epoch() - space0), want)
-            << "capacity " << capacity;
+        EXPECT_EQ(delta[stats::Event::kShed], 0u) << "capacity " << capacity;
+        EXPECT_EQ(q.tally(), 0) << "capacity " << capacity;
     }
 }
 
