@@ -68,7 +68,7 @@ struct ExploreResult {
     std::uint64_t schedules = 0;
     std::uint64_t violations = 0;
     bool truncated = false;  // exhaustive hit max_schedules
-    std::string first_error;
+    std::string first_error{};
 
     // Coverage across all explored schedules (see CrqModelState counters).
     std::uint64_t unsafe_transitions = 0;

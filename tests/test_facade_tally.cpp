@@ -181,85 +181,5 @@ TEST(FacadeWatchers, ParkedCoroutineConsumersGetEveryBurstInBoundedTime) {
     run_watchers(3);
 }
 
-// Exhaustive model of the gated wake: every interleaving of one waiter
-// (snapshot the epoch, announce, re-check for the item, sleep if the epoch
-// is unchanged) and one signaler (publish the item, check for waiters,
-// bump the epoch if any, wake a sleeper).  Each step is atomic and steps
-// are sequentially consistent, which the facade buys with its two seq_cst
-// fences.  This SC model does not cover x86-TSO store->load reordering — a
-// fence deleted from the code would not show here; that needs the store
-// buffer model of ROADMAP direction 1.
-struct WakeModel {
-    bool check_before_publish = false;  // the broken signaler order
-    // shared state
-    bool item = false;
-    std::uint32_t epoch = 0;
-    int waiters = 0;
-    // waiter locals
-    std::uint32_t observed = 0;
-    bool asleep = false;
-    bool done = false;  // found the item, or saw the epoch move
-    // signaler locals
-    bool saw_waiter = false;
-
-    void waiter_step(int pc) {
-        if (done) return;
-        switch (pc) {
-            case 0: observed = epoch; break;
-            case 1: ++waiters; break;
-            case 2: done = item; break;
-            default:
-                if (epoch == observed) asleep = true;  // futex: compare, then sleep
-                else done = true;
-        }
-    }
-    void signaler_step(int pc) {
-        const int publish = check_before_publish ? 1 : 0;
-        const int check = check_before_publish ? 0 : 1;
-        if (pc == publish) item = true;
-        if (pc == check) saw_waiter = waiters != 0;
-        if (pc == 2 && saw_waiter) ++epoch;
-        if (pc == 3 && saw_waiter && asleep) asleep = false;  // the wake
-    }
-};
-
-struct WakeSearch {
-    std::uint64_t schedules = 0, lost = 0;
-
-    void run(WakeModel m, int w, int s) {
-        if (w == 4 && s == 4) {
-            ++schedules;
-            if (m.item && m.asleep) ++lost;  // published, asleep, no wake left
-            return;
-        }
-        if (w < 4) {
-            WakeModel next = m;
-            next.waiter_step(w);
-            run(next, w + 1, s);
-        }
-        if (s < 4) {
-            WakeModel next = m;
-            next.signaler_step(s);
-            run(next, w, s + 1);
-        }
-    }
-};
-
-TEST(GatedWakeModel, NoInterleavingLosesTheWake) {
-    WakeSearch search;
-    search.run(WakeModel{}, 0, 0);
-    EXPECT_EQ(search.schedules, 70u) << "C(8,4) interleavings";
-    EXPECT_EQ(search.lost, 0u);
-}
-
-TEST(GatedWakeModel, WaiterCheckBeforePublishLosesTheWake) {
-    WakeModel broken;
-    broken.check_before_publish = true;
-    WakeSearch search;
-    search.run(broken, 0, 0);
-    EXPECT_EQ(search.schedules, 70u);
-    EXPECT_GT(search.lost, 0u) << "the explorer must find the lost wake";
-}
-
 }  // namespace
 }  // namespace lcrq

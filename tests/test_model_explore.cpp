@@ -1,16 +1,19 @@
-// Schedule exploration of the CRQ step model: exhaustive enumeration of
+// Schedule exploration of the step models: exhaustive enumeration of
 // every interleaving for tiny configurations (the executable form of the
 // paper's §4.1.2 argument, covering the safe-bit corner cases real-thread
 // tests cannot reach deterministically), random sampling for larger ones,
-// and a differential check that the model matches the real Crq.
+// differential checks that the models match the real rings, and the two
+// protocol models outside the queue family: the §4.1.1 cluster handoff
+// (hierarchy_model.hpp) and the facade's gated wake.
 #include <gtest/gtest.h>
 
 #include "queues/crq.hpp"
 #include "queues/lcrq.hpp"
 #include "queues/scq.hpp"
 #include "queues/wcq.hpp"
-#include "verify/lcrq_model.hpp"
 #include "verify/explore.hpp"
+#include "verify/hierarchy_model.hpp"
+#include "verify/lcrq_model.hpp"
 
 namespace lcrq::verify {
 namespace {
@@ -115,6 +118,30 @@ ExploreConfig tiny(std::uint64_t ring = 2, unsigned limit = 1) {
     cfg.ring_size = ring;
     cfg.starvation_limit = limit;
     return cfg;
+}
+
+// Exact pins on every counter of a run (fields left out of `want` are 0).
+// Exhaustive counts are fixed by the step models and sampled ones by the
+// seed, so a change to the search core or to a step model that adds,
+// drops or reorders a single interleaving shows here.
+void expect_counts(const ExploreResult& got, const ExploreResult& want) {
+    EXPECT_EQ(got.schedules, want.schedules);
+    EXPECT_EQ(got.violations, want.violations);
+    EXPECT_EQ(got.truncated, want.truncated);
+    EXPECT_EQ(got.first_error, want.first_error);
+    EXPECT_EQ(got.unsafe_transitions, want.unsafe_transitions);
+    EXPECT_EQ(got.empty_transitions, want.empty_transitions);
+    EXPECT_EQ(got.closes, want.closes);
+    EXPECT_EQ(got.enq_rescues, want.enq_rescues);
+    EXPECT_EQ(got.appended_segments, want.appended_segments);
+    EXPECT_EQ(got.catchups, want.catchups);
+    EXPECT_EQ(got.threshold_empties, want.threshold_empties);
+    EXPECT_EQ(got.slow_publishes, want.slow_publishes);
+    EXPECT_EQ(got.notes_placed, want.notes_placed);
+    EXPECT_EQ(got.note_commits, want.note_commits);
+    EXPECT_EQ(got.note_reverts, want.note_reverts);
+    EXPECT_EQ(got.empty_commits, want.empty_commits);
+    EXPECT_EQ(got.pruned, want.pruned);
 }
 
 TEST(Explore, ExhaustiveOneEnqOneDeq) {
@@ -540,6 +567,7 @@ TEST(ExploreScq, ExhaustiveOneEnqOneDeq) {
     // fast path in one of the 5 gaps (EMPTY, linearized before the
     // publish) or runs after completion and consumes.  5 + 1 = 6.
     EXPECT_EQ(r.schedules, 6u) << r.summary();
+    expect_counts(r, {.schedules = 6});
 }
 
 TEST(ExploreScq, ExhaustiveTwoEnqueuersTwoSlots) {
@@ -547,6 +575,7 @@ TEST(ExploreScq, ExhaustiveTwoEnqueuersTwoSlots) {
     EXPECT_FALSE(r.truncated) << r.summary();
     EXPECT_EQ(r.pruned, 0u) << r.summary();
     EXPECT_EQ(r.violations, 0u) << r.summary();
+    expect_counts(r, {.schedules = 252});
 }
 
 TEST(ExploreScq, ExhaustiveEnqDeqPairVsDequeuer) {
@@ -558,6 +587,7 @@ TEST(ExploreScq, ExhaustiveEnqDeqPairVsDequeuer) {
     // Both EMPTY-answer shapes are inside this enumeration.
     EXPECT_GT(r.empty_transitions, 0u) << r.summary();
     EXPECT_GT(r.catchups, 0u) << r.summary();
+    expect_counts(r, {.schedules = 189, .empty_transitions = 184, .catchups = 184});
 }
 
 TEST(ExploreScq, ExhaustiveUnsafeTransitionOnCapacityOne) {
@@ -572,6 +602,10 @@ TEST(ExploreScq, ExhaustiveUnsafeTransitionOnCapacityOne) {
     EXPECT_EQ(r.violations, 0u) << r.summary();
     EXPECT_GT(r.unsafe_transitions, 0u)
         << "the lapping window was never enumerated: " << r.summary();
+    expect_counts(r, {.schedules = 34'922,
+                      .unsafe_transitions = 154,
+                      .empty_transitions = 75'229,
+                      .catchups = 60'182});
 }
 
 TEST(ExploreScq, RandomSamplingThreeThreads) {
@@ -590,6 +624,11 @@ TEST(ExploreScq, RandomSamplingThreeThreads) {
     EXPECT_GT(r.unsafe_transitions, 0u) << r.summary();
     EXPECT_GT(r.empty_transitions, 0u) << r.summary();
     EXPECT_GT(r.catchups, 0u) << r.summary();
+    expect_counts(r, {.schedules = 100'000,
+                      .unsafe_transitions = 491,
+                      .empty_transitions = 28'136,
+                      .catchups = 26'885,
+                      .threshold_empties = 195});
 }
 
 TEST(ExploreScq, RandomSamplingReachesThresholdExhaustion) {
@@ -605,6 +644,11 @@ TEST(ExploreScq, RandomSamplingReachesThresholdExhaustion) {
         cfg);
     EXPECT_EQ(r.violations, 0u) << r.summary();
     EXPECT_GT(r.threshold_empties, 0u) << r.summary();
+    expect_counts(r, {.schedules = 100'000,
+                      .unsafe_transitions = 532,
+                      .empty_transitions = 27'886,
+                      .catchups = 26'634,
+                      .threshold_empties = 177});
 }
 
 // --- wCQ ring model (wcq_model.hpp) ---------------------------------------
@@ -751,6 +795,7 @@ TEST(ExploreWcq, ExhaustiveFastPathMatchesScqShape) {
     EXPECT_EQ(r.violations, 0u) << r.summary();
     EXPECT_EQ(r.schedules, 6u) << r.summary();
     EXPECT_EQ(r.slow_publishes, 0u) << "patience 64 must keep every op fast";
+    expect_counts(r, {.schedules = 6});
 }
 
 TEST(ExploreWcq, ExhaustiveSlowEnqueueVsDequeuer) {
@@ -770,6 +815,12 @@ TEST(ExploreWcq, ExhaustiveSlowEnqueueVsDequeuer) {
     EXPECT_GT(r.slow_publishes, 0u) << r.summary();
     EXPECT_GT(r.notes_placed, 0u) << r.summary();
     EXPECT_GT(r.note_commits, 0u) << r.summary();
+    expect_counts(r, {.schedules = 452'938,
+                      .empty_transitions = 452'863,
+                      .catchups = 5,
+                      .slow_publishes = 892'178,
+                      .notes_placed = 892'178,
+                      .note_commits = 892'178});
 }
 
 TEST(ExploreWcq, RandomSamplingSlowDequeueCommitsEmpty) {
@@ -795,6 +846,13 @@ TEST(ExploreWcq, RandomSamplingSlowDequeueCommitsEmpty) {
     EXPECT_GT(r.slow_publishes, 0u) << r.summary();
     EXPECT_GT(r.empty_commits, 0u)
         << "no schedule reached the slow-path EMPTY commit: " << r.summary();
+    expect_counts(r, {.schedules = 30'000,
+                      .empty_transitions = 57'502,
+                      .catchups = 34'242,
+                      .slow_publishes = 24'437,
+                      .notes_placed = 23'510,
+                      .note_commits = 23'510,
+                      .empty_commits = 927});
 }
 
 TEST(ExploreWcq, RandomSamplingFastDequeuerResolvesForeignNote) {
@@ -815,6 +873,12 @@ TEST(ExploreWcq, RandomSamplingFastDequeuerResolvesForeignNote) {
     EXPECT_EQ(r.violations, 0u) << r.summary();
     EXPECT_GT(r.notes_placed, 0u) << r.summary();
     EXPECT_GT(r.note_commits, 0u) << r.summary();
+    expect_counts(r, {.schedules = 30'000,
+                      .empty_transitions = 34'513,
+                      .catchups = 24'473,
+                      .slow_publishes = 10'057,
+                      .notes_placed = 10'057,
+                      .note_commits = 10'057});
 }
 
 TEST(ExploreWcq, RandomSamplingThreeThreadsMixedPatience) {
@@ -835,6 +899,15 @@ TEST(ExploreWcq, RandomSamplingThreeThreadsMixedPatience) {
     EXPECT_GT(r.notes_placed, 0u) << r.summary();
     EXPECT_GT(r.note_commits, 0u) << r.summary();
     EXPECT_GT(r.empty_commits, 0u) << r.summary();
+    expect_counts(r, {.schedules = 30'000,
+                      .unsafe_transitions = 3'013,
+                      .empty_transitions = 111'637,
+                      .catchups = 86'684,
+                      .threshold_empties = 5'032,
+                      .slow_publishes = 17'905,
+                      .notes_placed = 13'443,
+                      .note_commits = 13'443,
+                      .empty_commits = 4'462});
 }
 
 TEST(ExploreWcq, RandomSamplingBlindRevertStaysBroken) {
@@ -857,7 +930,210 @@ TEST(ExploreWcq, RandomSamplingBlindRevertStaysBroken) {
     cfg.corrected = true;
     const auto fixed = explore_wcq_random(script, cfg);
     EXPECT_EQ(fixed.violations, 0u) << fixed.summary();
+    expect_counts(broken,
+                  {.schedules = 100'000,
+                   .violations = 938,
+                   .first_error = "no linearization of the history against "
+                                  "the FIFO queue spec exists",
+                   .unsafe_transitions = 9'848,
+                   .empty_transitions = 371'333,
+                   .catchups = 287'629,
+                   .threshold_empties = 17'430,
+                   .slow_publishes = 60'395,
+                   .notes_placed = 45'662,
+                   .note_commits = 45'662,
+                   .note_reverts = 938,
+                   .empty_commits = 14'733});
+    expect_counts(fixed, {.schedules = 100'000,
+                          .unsafe_transitions = 10'039,
+                          .empty_transitions = 372'078,
+                          .catchups = 288'809,
+                          .threshold_empties = 16'624,
+                          .slow_publishes = 60'242,
+                          .notes_placed = 45'533,
+                          .note_commits = 45'533,
+                          .empty_commits = 14'709});
 }
+
+// --- §4.1.1 cluster handoff (hierarchy_model.hpp) --------------------------
+
+// Exact pins on the six counters of a hierarchy search (cf. expect_counts).
+void expect_hier_counts(const HierarchyModelResult& got,
+                        const HierarchyModelResult& want) {
+    EXPECT_EQ(got.states, want.states);
+    EXPECT_EQ(got.leaves, want.leaves);
+    EXPECT_EQ(got.blocked_leaves, want.blocked_leaves);
+    EXPECT_EQ(got.cas_lost_entries, want.cas_lost_entries);
+    EXPECT_EQ(got.handoffs, want.handoffs);
+    EXPECT_EQ(got.max_depth, want.max_depth);
+}
+
+TEST(HierarchyModel, EveryInterleavingEntersEvenWhenTheCasLoses) {
+    verify::HierarchyModelConfig cfg;
+    cfg.thread_cluster = {1, 2};  // both foreign to the initial tag 0
+    cfg.wait_budget = 1;
+    const auto r = verify::explore_hierarchy(cfg);
+    EXPECT_GT(r.leaves, 0u);
+    EXPECT_TRUE(r.all_live_entered);
+    EXPECT_EQ(r.blocked_leaves, 0u);
+    // Some interleaving must exhibit the paper's "even if the CAS fails":
+    // a claimant whose CAS compared against a stale tag, lost, and
+    // entered anyway.
+    EXPECT_GT(r.cas_lost_entries, 0u);
+    // Bounded steps: each thread takes at most wait_budget + 3 steps, so
+    // the exploration is exhaustive with no depth cap.
+    EXPECT_LE(r.max_depth,
+              cfg.thread_cluster.size() *
+                  static_cast<std::uint64_t>(cfg.wait_budget + 3));
+    expect_hier_counts(r, {.states = 251, .leaves = 70, .cas_lost_entries = 40,
+                           .handoffs = 140, .max_depth = 8});
+}
+
+TEST(HierarchyModel, ThreeClustersStillNeverBlock) {
+    verify::HierarchyModelConfig cfg;
+    cfg.thread_cluster = {1, 2, 3};
+    cfg.wait_budget = 1;
+    const auto r = verify::explore_hierarchy(cfg);
+    EXPECT_TRUE(r.all_live_entered);
+    EXPECT_EQ(r.blocked_leaves, 0u);
+    EXPECT_GT(r.cas_lost_entries, 0u);
+    expect_hier_counts(r, {.states = 110'251, .leaves = 34'650,
+                           .cas_lost_entries = 30'600, .handoffs = 103'950,
+                           .max_depth = 12});
+}
+
+TEST(HierarchyModel, KilledClaimantNeverBlocksPeers) {
+    verify::HierarchyModelConfig cfg;
+    cfg.thread_cluster = {1, 2};
+    cfg.wait_budget = 1;
+    cfg.killed_thread = 0;
+    cfg.kill_phase = verify::HierPhase::kClaim;  // dies with the CAS pending
+    const auto r = verify::explore_hierarchy(cfg);
+    EXPECT_TRUE(r.all_live_entered) << "the survivor's own timeout frees it";
+    EXPECT_EQ(r.blocked_leaves, 0u);
+    expect_hier_counts(r, {.states = 125, .leaves = 35, .handoffs = 35, .max_depth = 7});
+}
+
+TEST(HierarchyModel, DeadOwnerNeverBlocksPeers) {
+    verify::HierarchyModelConfig cfg;
+    cfg.thread_cluster = {0, 1};  // thread 0 owns the tag, enters, dies,
+    cfg.killed_thread = 0;        // and never hands over
+    cfg.kill_phase = verify::HierPhase::kEntered;
+    cfg.wait_budget = 1;
+    const auto r = verify::explore_hierarchy(cfg);
+    EXPECT_TRUE(r.all_live_entered);
+    EXPECT_EQ(r.blocked_leaves, 0u);
+    EXPECT_GT(r.handoffs, 0u) << "the foreign thread claims past the corpse";
+    expect_hier_counts(r, {.states = 23, .leaves = 5, .handoffs = 6, .max_depth = 8});
+}
+
+// The ablation detector: remove the kWait -> kClaim edge and the same
+// dead-owner scenario blocks in EVERY interleaving — the model finds
+// exactly the violation the injection suite's blocking probe forces at
+// runtime.  With the edge restored, zero blocked leaves.
+TEST(HierarchyModel, AblationBlocksAgainstDeadOwnerAndTimeoutProceedFixesIt) {
+    verify::HierarchyModelConfig cfg;
+    cfg.thread_cluster = {1};  // cluster 0 owns the tag; no cluster-0 thread
+    cfg.wait_budget = 2;
+
+    cfg.proceed_on_timeout = false;
+    const auto blocked = verify::explore_hierarchy(cfg);
+    EXPECT_FALSE(blocked.all_live_entered);
+    EXPECT_EQ(blocked.blocked_leaves, blocked.leaves);
+    EXPECT_EQ(blocked.handoffs, 0u);
+
+    cfg.proceed_on_timeout = true;
+    const auto live = verify::explore_hierarchy(cfg);
+    EXPECT_TRUE(live.all_live_entered);
+    EXPECT_EQ(live.blocked_leaves, 0u);
+    EXPECT_EQ(live.handoffs, live.leaves) << "exactly one claim per schedule";
+    expect_hier_counts(blocked, {.states = 4, .leaves = 1, .blocked_leaves = 1,
+                                 .max_depth = 3});
+    expect_hier_counts(live, {.states = 6, .leaves = 1, .handoffs = 1, .max_depth = 5});
+}
+
+// --- the facade's gated wake (blocking_queue.hpp EventCount) -------------
+
+// Exhaustive model of the gated wake: every interleaving of one waiter
+// (snapshot the epoch, announce, re-check for the item, sleep if the epoch
+// is unchanged) and one signaler (publish the item, check for waiters,
+// bump the epoch if any, wake a sleeper).  Each step is atomic and steps
+// are sequentially consistent, which the facade buys with its two seq_cst
+// fences.  This SC model does not cover x86-TSO store->load reordering — a
+// fence deleted from the code would not show here; that needs the store
+// buffer model of ROADMAP direction 1.
+struct WakeModel {
+    bool check_before_publish = false;  // the broken signaler order
+    // shared state
+    bool item = false;
+    std::uint32_t epoch = 0;
+    int waiters = 0;
+    // waiter locals
+    std::uint32_t observed = 0;
+    bool asleep = false;
+    bool done = false;  // found the item, or saw the epoch move
+    // signaler locals
+    bool saw_waiter = false;
+
+    void waiter_step(int pc) {
+        if (done) return;
+        switch (pc) {
+            case 0: observed = epoch; break;
+            case 1: ++waiters; break;
+            case 2: done = item; break;
+            default:
+                if (epoch == observed) asleep = true;  // futex: compare, then sleep
+                else done = true;
+        }
+    }
+    void signaler_step(int pc) {
+        const int publish = check_before_publish ? 1 : 0;
+        const int check = check_before_publish ? 0 : 1;
+        if (pc == publish) item = true;
+        if (pc == check) saw_waiter = waiters != 0;
+        if (pc == 2 && saw_waiter) ++epoch;
+        if (pc == 3 && saw_waiter && asleep) asleep = false;  // the wake
+    }
+};
+
+struct WakeSearch {
+    std::uint64_t schedules = 0, lost = 0;
+
+    void run(WakeModel m, int w, int s) {
+        if (w == 4 && s == 4) {
+            ++schedules;
+            if (m.item && m.asleep) ++lost;  // published, asleep, no wake left
+            return;
+        }
+        if (w < 4) {
+            WakeModel next = m;
+            next.waiter_step(w);
+            run(next, w + 1, s);
+        }
+        if (s < 4) {
+            WakeModel next = m;
+            next.signaler_step(s);
+            run(next, w, s + 1);
+        }
+    }
+};
+
+TEST(GatedWakeModel, NoInterleavingLosesTheWake) {
+    WakeSearch search;
+    search.run(WakeModel{}, 0, 0);
+    EXPECT_EQ(search.schedules, 70u) << "C(8,4) interleavings";
+    EXPECT_EQ(search.lost, 0u);
+}
+
+TEST(GatedWakeModel, WaiterCheckBeforePublishLosesTheWake) {
+    WakeModel broken;
+    broken.check_before_publish = true;
+    WakeSearch search;
+    search.run(broken, 0, 0);
+    EXPECT_EQ(search.schedules, 70u);
+    EXPECT_GT(search.lost, 0u) << "the explorer must find the lost wake";
+}
+
 
 }  // namespace
 }  // namespace lcrq::verify

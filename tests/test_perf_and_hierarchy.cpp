@@ -1,7 +1,7 @@
-// perf_event_open wrapper (graceful degradation is the contract), the
+// perf_event_open wrapper (graceful degradation is the contract) and the
 // cluster-handoff hierarchy policy (§4.1.1) with its counter taxonomy and
-// virtual-cluster batching behavior, and the exhaustive interleaving model
-// of the enter() protocol.
+// virtual-cluster batching behavior.  The exhaustive interleaving model of
+// the enter() protocol is checked in test_model_explore.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +13,6 @@
 #include "test_support.hpp"
 #include "topology/topology.hpp"
 #include "util/perf_events.hpp"
-#include "verify/hierarchy_model.hpp"
 
 namespace lcrq {
 namespace {
@@ -227,82 +226,6 @@ TEST(Hierarchy, HandoffsBatchUnderLongTimeout) {
     EXPECT_LT(s[stats::Event::kClusterHandoff] * 8, s[stats::Event::kClusterEnter])
         << "handoffs must batch: a waiter burns its timeout while the "
            "owning cluster streams fast-path enters";
-}
-
-// ---- Exhaustive interleaving model (verify/hierarchy_model.hpp) ----
-
-TEST(HierarchyModel, EveryInterleavingEntersEvenWhenTheCasLoses) {
-    verify::HierarchyModelConfig cfg;
-    cfg.thread_cluster = {1, 2};  // both foreign to the initial tag 0
-    cfg.wait_budget = 1;
-    const auto r = verify::explore_hierarchy(cfg);
-    EXPECT_GT(r.leaves, 0u);
-    EXPECT_TRUE(r.all_live_entered);
-    EXPECT_EQ(r.blocked_leaves, 0u);
-    // Some interleaving must exhibit the paper's "even if the CAS fails":
-    // a claimant whose CAS compared against a stale tag, lost, and
-    // entered anyway.
-    EXPECT_GT(r.cas_lost_entries, 0u);
-    // Bounded steps: each thread takes at most wait_budget + 3 steps, so
-    // the exploration is exhaustive with no depth cap.
-    EXPECT_LE(r.max_depth,
-              cfg.thread_cluster.size() *
-                  static_cast<std::uint64_t>(cfg.wait_budget + 3));
-}
-
-TEST(HierarchyModel, ThreeClustersStillNeverBlock) {
-    verify::HierarchyModelConfig cfg;
-    cfg.thread_cluster = {1, 2, 3};
-    cfg.wait_budget = 1;
-    const auto r = verify::explore_hierarchy(cfg);
-    EXPECT_TRUE(r.all_live_entered);
-    EXPECT_EQ(r.blocked_leaves, 0u);
-    EXPECT_GT(r.cas_lost_entries, 0u);
-}
-
-TEST(HierarchyModel, KilledClaimantNeverBlocksPeers) {
-    verify::HierarchyModelConfig cfg;
-    cfg.thread_cluster = {1, 2};
-    cfg.wait_budget = 1;
-    cfg.killed_thread = 0;
-    cfg.kill_phase = verify::HierPhase::kClaim;  // dies with the CAS pending
-    const auto r = verify::explore_hierarchy(cfg);
-    EXPECT_TRUE(r.all_live_entered) << "the survivor's own timeout frees it";
-    EXPECT_EQ(r.blocked_leaves, 0u);
-}
-
-TEST(HierarchyModel, DeadOwnerNeverBlocksPeers) {
-    verify::HierarchyModelConfig cfg;
-    cfg.thread_cluster = {0, 1};  // thread 0 owns the tag, enters, dies,
-    cfg.killed_thread = 0;        // and never hands over
-    cfg.kill_phase = verify::HierPhase::kEntered;
-    cfg.wait_budget = 1;
-    const auto r = verify::explore_hierarchy(cfg);
-    EXPECT_TRUE(r.all_live_entered);
-    EXPECT_EQ(r.blocked_leaves, 0u);
-    EXPECT_GT(r.handoffs, 0u) << "the foreign thread claims past the corpse";
-}
-
-// The ablation detector: remove the kWait -> kClaim edge and the same
-// dead-owner scenario blocks in EVERY interleaving — the model finds
-// exactly the violation the injection suite's blocking probe forces at
-// runtime.  With the edge restored, zero blocked leaves.
-TEST(HierarchyModel, AblationBlocksAgainstDeadOwnerAndTimeoutProceedFixesIt) {
-    verify::HierarchyModelConfig cfg;
-    cfg.thread_cluster = {1};  // cluster 0 owns the tag; no cluster-0 thread
-    cfg.wait_budget = 2;
-
-    cfg.proceed_on_timeout = false;
-    const auto blocked = verify::explore_hierarchy(cfg);
-    EXPECT_FALSE(blocked.all_live_entered);
-    EXPECT_EQ(blocked.blocked_leaves, blocked.leaves);
-    EXPECT_EQ(blocked.handoffs, 0u);
-
-    cfg.proceed_on_timeout = true;
-    const auto live = verify::explore_hierarchy(cfg);
-    EXPECT_TRUE(live.all_live_entered);
-    EXPECT_EQ(live.blocked_leaves, 0u);
-    EXPECT_EQ(live.handoffs, live.leaves) << "exactly one claim per schedule";
 }
 
 }  // namespace
