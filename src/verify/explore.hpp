@@ -1,13 +1,19 @@
-// Schedule exploration over the step models (crq_model.hpp,
-// lcrq_model.hpp).
+// Schedule exploration: one search core and its queue-family client.
 //
-// Each thread runs a script of queue operations; the explorer drives the
-// step machines under (a) every possible interleaving, depth-first, for
-// tiny configurations, or (b) uniformly random interleavings for larger
-// ones.  Every completed execution yields a history with step-counter
-// timestamps, which is checked with the exact linearizability checker
-// plus the tantrum rule (no enqueue that starts after a CLOSED response
-// may succeed — applicable to the bare-CRQ family).
+// The core (search_exhaustive / search_random) drives any small world of
+// step machines: every possible interleaving, depth-first, for tiny
+// configurations, or uniformly random interleavings for larger ones.  It
+// has three clients: the queue step models below (crq_model.hpp,
+// lcrq_model.hpp, infinite_array_model.hpp and wcq_model.hpp, which also
+// models the SCQ ring with helping off), the §4.1.1 cluster-handoff model
+// (hierarchy_model.hpp) and the facade's gated-wake model
+// (test_model_explore.cpp).
+//
+// For the queues, each thread runs a script of operations.  Every
+// completed execution yields a history with step-counter timestamps,
+// which is checked with the exact linearizability checker plus the tantrum
+// rule (no enqueue that starts after a CLOSED response may succeed —
+// applicable to the bare-CRQ family).
 //
 // This is the executable counterpart of the paper's §4.1.2 proof: instead
 // of trusting that the safe-bit protocol covers all interleavings, the
@@ -24,10 +30,57 @@
 #include "verify/infinite_array_model.hpp"
 #include "verify/lcrq_model.hpp"
 #include "verify/lin_check.hpp"
-#include "verify/scq_model.hpp"
 #include "verify/wcq_model.hpp"
 
 namespace lcrq::verify {
+
+// --- the search core ---------------------------------------------------------
+//
+// A world is a small copyable state machine:
+//   std::size_t threads() const        model threads
+//   bool enabled(std::size_t i) const  thread i has a next step
+//   void step(std::size_t i)           take it (one atomic access)
+//   std::uint64_t steps() const        steps taken so far
+// A leaf is a world in which no thread is enabled: every thread finished,
+// or the live ones are blocked.  A visitor sees the search:
+//   void reached(const W&)   every world the search enters, leaves included
+//   void leaf(const W&)      one completed schedule
+//   void pruned(const W&)    a schedule cut at max_steps
+//   bool stopped() const     end the search now (exhaustive budget spent)
+
+// Every interleaving, depth first, copying the world at each branch.
+template <typename W, typename V>
+void search_exhaustive(const W& world, std::uint64_t max_steps, V& visitor) {
+    visitor.reached(world);
+    bool leaf = true;
+    for (std::size_t i = 0; i < world.threads() && leaf; ++i) leaf = !world.enabled(i);
+    if (leaf) return visitor.leaf(world);
+    if (world.steps() >= max_steps) return visitor.pruned(world);
+    for (std::size_t i = 0; i < world.threads() && !visitor.stopped(); ++i) {
+        if (!world.enabled(i)) continue;
+        W branch = world;
+        branch.step(i);
+        search_exhaustive(branch, max_steps, visitor);
+    }
+}
+
+// One schedule that picks uniformly among the enabled threads at each step.
+template <typename W, typename V>
+void search_random(W world, std::uint64_t max_steps, Xoshiro256& rng, V& visitor) {
+    std::vector<std::size_t> enabled;
+    for (;;) {
+        visitor.reached(world);
+        enabled.clear();
+        for (std::size_t i = 0; i < world.threads(); ++i) {
+            if (world.enabled(i)) enabled.push_back(i);
+        }
+        if (enabled.empty()) return visitor.leaf(world);
+        if (world.steps() >= max_steps) return visitor.pruned(world);
+        world.step(enabled[rng.bounded(enabled.size())]);
+    }
+}
+
+// --- queue scripts -------------------------------------------------------------
 
 struct ScriptOp {
     CrqModelOp::Kind kind;
@@ -52,8 +105,9 @@ struct ExploreConfig {
     // enqueue/dequeue pair), so script dequeuers can race the first
     // enqueue's cell instead of serializing behind the threshold gate.
     bool wcq_armed = false;
-    // Exhaustive mode aborts (reporting truncated=true) past this many
-    // completed schedules; random mode runs exactly `samples` schedules.
+    // Exhaustive mode completes at most this many schedules and reports
+    // truncated=true if the search had more; random mode runs exactly
+    // `samples` schedules.
     std::uint64_t max_schedules = 5'000'000;
     // Schedules longer than this are pruned unchecked (counted in
     // `pruned`).  Needed because some modeled algorithms can livelock —
@@ -67,7 +121,7 @@ struct ExploreConfig {
 struct ExploreResult {
     std::uint64_t schedules = 0;
     std::uint64_t violations = 0;
-    bool truncated = false;  // exhaustive hit max_schedules
+    bool truncated = false;  // exhaustive search had more than max_schedules
     std::string first_error{};
 
     // Coverage across all explored schedules (see CrqModelState counters).
@@ -96,7 +150,7 @@ struct ExploreResult {
         std::string s = "schedules=" + std::to_string(schedules) +
                         " violations=" + std::to_string(violations) +
                         " pruned=" + std::to_string(pruned);
-        if (truncated) s += " TRUNCATED(hit max_schedules)";
+        if (truncated) s += " TRUNCATED(past max_schedules)";
         if (!first_error.empty()) s += " first_error=\"" + first_error + "\"";
         return s;
     }
@@ -139,30 +193,13 @@ struct LcrqFamily {
     }
 };
 
-struct ScqFamily {
-    using State = ScqModelState;
-    using Op = ScqModelOp;
-
-    // cfg.ring_size is the SCQ *capacity* n (the modeled ring has 2n
-    // entries), so CRQ and SCQ configs describe the same logical size.
-    static State make_state(const ExploreConfig& cfg) { return State(cfg.ring_size); }
-    static Op make_op(const ScriptOp& s, const ExploreConfig&) {
-        return make_scq_model_op(s.kind, s.arg);
-    }
-    static void accumulate(const State& s, ExploreResult& out) {
-        out.unsafe_transitions += s.unsafe_transitions;
-        out.empty_transitions += s.empty_transitions;
-        out.enq_rescues += s.enq_rescues;
-        out.catchups += s.catchups;
-        out.threshold_empties += s.threshold_empties;
-    }
-};
-
+// SCQ and wCQ share one step model (wcq_model.hpp); the SCQ family runs
+// it with helping off.  cfg.ring_size is the capacity n (2n modeled
+// entries), so CRQ and SCQ configs describe the same logical size.
 struct WcqFamily {
     using State = WcqModelState;
     using Op = WcqModelOp;
 
-    // cfg.ring_size is the capacity n (2n modeled entries), as for SCQ.
     static State make_state(const ExploreConfig& cfg) {
         return State(cfg.ring_size, cfg.wcq_armed);
     }
@@ -183,6 +220,13 @@ struct WcqFamily {
     }
 };
 
+struct ScqFamily : WcqFamily {
+    static State make_state(const ExploreConfig& cfg) { return State(cfg.ring_size); }
+    static Op make_op(const ScriptOp& s, const ExploreConfig&) {
+        return make_scq_model_op(s.kind, s.arg);
+    }
+};
+
 struct InfArrayFamily {
     using State = InfArrayModelState;
     using Op = InfArrayModelOp;
@@ -196,6 +240,7 @@ struct InfArrayFamily {
 
 namespace detail_explore {
 
+// The queue-family world: each thread runs its script, one op at a time.
 template <typename Family>
 struct World {
     typename Family::State shared;
@@ -208,36 +253,33 @@ struct World {
 
         explicit Thread(typename Family::Op initial) : op(initial) {}
     };
-    std::vector<Thread> threads;
+    std::vector<Thread> threads_;
+    const ExploreConfig* cfg;
     History history;
     std::uint64_t step_count = 0;
 
-    World(const std::vector<ThreadScript>& scripts, const ExploreConfig& cfg)
-        : shared(Family::make_state(cfg)) {
+    World(const std::vector<ThreadScript>& scripts, const ExploreConfig& config)
+        : shared(Family::make_state(config)), cfg(&config) {
         for (std::size_t i = 0; i < scripts.size(); ++i) {
             // Placeholder op; replaced at activation.
-            threads.push_back(Thread(Family::make_op(enq_op(0), cfg)));
-            threads.back().script = &scripts[i];
+            threads_.push_back(Thread(Family::make_op(enq_op(0), config)));
+            threads_.back().script = &scripts[i];
         }
     }
 
-    bool runnable(std::size_t i) const {
-        const Thread& t = threads[i];
+    std::size_t threads() const { return threads_.size(); }
+    std::uint64_t steps() const { return step_count; }
+
+    bool enabled(std::size_t i) const {
+        const Thread& t = threads_[i];
         return t.active || t.next_op < t.script->size();
     }
 
-    bool all_done() const {
-        for (std::size_t i = 0; i < threads.size(); ++i) {
-            if (runnable(i)) return false;
-        }
-        return true;
-    }
-
-    void step(std::size_t i, const ExploreConfig& cfg) {
-        Thread& t = threads[i];
+    void step(std::size_t i) {
+        Thread& t = threads_[i];
         ++step_count;
         if (!t.active) {
-            t.op = Family::make_op((*t.script)[t.next_op], cfg);
+            t.op = Family::make_op((*t.script)[t.next_op], *cfg);
             t.active = true;
             t.invoke = step_count;
         }
@@ -280,45 +322,38 @@ inline CheckResult check_execution(const History& full) {
     return check_queue_exact(fifo);
 }
 
+// Checks every completed schedule and sums the coverage counters.  Past
+// `budget` completed schedules, a further one ends the search as
+// truncated: a search with exactly `budget` schedules is complete.
 template <typename Family>
-void finish_schedule(const World<Family>& world, ExploreResult& out,
-                     const ExploreConfig& cfg) {
-    ++out.schedules;
-    if (out.schedules >= cfg.max_schedules) out.truncated = true;
-    Family::accumulate(world.shared, out);
-    const CheckResult r = check_execution(world.history);
-    if (!r.ok) {
-        ++out.violations;
-        if (out.first_error.empty()) out.first_error = r.error;
-    }
-}
+struct Checker {
+    ExploreResult& out;
+    std::uint64_t budget;
 
-template <typename Family>
-void explore_dfs(World<Family> world, const ExploreConfig& cfg, ExploreResult& out) {
-    if (out.truncated) return;
-    if (world.all_done()) {
-        finish_schedule(world, out, cfg);
-        return;
+    bool stopped() const { return out.truncated; }
+    void reached(const World<Family>&) {}
+    void pruned(const World<Family>&) { ++out.pruned; }  // livelocked or overlong
+    void leaf(const World<Family>& world) {
+        if (out.schedules == budget) {
+            out.truncated = true;
+            return;
+        }
+        ++out.schedules;
+        Family::accumulate(world.shared, out);
+        const CheckResult r = check_execution(world.history);
+        if (!r.ok) {
+            ++out.violations;
+            if (out.first_error.empty()) out.first_error = r.error;
+        }
     }
-    if (world.step_count >= cfg.max_steps) {
-        ++out.pruned;  // livelocked (or merely very long) branch
-        return;
-    }
-    for (std::size_t i = 0; i < world.threads.size(); ++i) {
-        if (out.truncated) return;
-        if (!world.runnable(i)) continue;
-        World<Family> branch = world;  // copy-on-branch: states are tiny
-        branch.step(i, cfg);
-        explore_dfs(std::move(branch), cfg, out);
-    }
-}
+};
 
 template <typename Family>
 ExploreResult run_exhaustive(const std::vector<ThreadScript>& scripts,
                              const ExploreConfig& cfg) {
     ExploreResult out;
-    World<Family> world(scripts, cfg);
-    explore_dfs(std::move(world), cfg, out);
+    Checker<Family> checker{out, cfg.max_schedules};
+    search_exhaustive(World<Family>(scripts, cfg), cfg.max_steps, checker);
     return out;
 }
 
@@ -326,29 +361,11 @@ template <typename Family>
 ExploreResult run_random(const std::vector<ThreadScript>& scripts,
                          const ExploreConfig& cfg) {
     ExploreResult out;
+    Checker<Family> checker{out, ~std::uint64_t{0}};  // sampling has no budget
     Xoshiro256 rng(cfg.seed);
-    std::vector<std::size_t> runnable;
     for (std::uint64_t s = 0; s < cfg.samples; ++s) {
-        World<Family> world(scripts, cfg);
-        bool overlong = false;
-        while (!world.all_done()) {
-            if (world.step_count >= cfg.max_steps) {
-                overlong = true;
-                break;
-            }
-            runnable.clear();
-            for (std::size_t i = 0; i < world.threads.size(); ++i) {
-                if (world.runnable(i)) runnable.push_back(i);
-            }
-            world.step(runnable[rng.bounded(runnable.size())], cfg);
-        }
-        if (overlong) {
-            ++out.pruned;
-            continue;
-        }
-        finish_schedule(world, out, cfg);
+        search_random(World<Family>(scripts, cfg), cfg.max_steps, rng, checker);
     }
-    out.truncated = false;  // sampling has no exhaustive budget
     return out;
 }
 
@@ -380,11 +397,12 @@ inline ExploreResult explore_infarray_random(const std::vector<ThreadScript>& sc
     return detail_explore::run_random<InfArrayFamily>(scripts, cfg);
 }
 
-// SCQ ring (cycle/safe/threshold protocol; scq_model.hpp).  Keep ring
-// occupancy (live items + in-flight enqueues) ≤ cfg.ring_size — easiest
-// via total enqueues ≤ capacity.  Overfilled rings burn enqueue tickets
-// by design (pruned schedules) and can exhaust the threshold into a
-// false EMPTY the checker rightly flags; see the scq_model.hpp caveat.
+// SCQ ring (cycle/safe/threshold protocol; wcq_model.hpp with helping
+// off).  Keep ring occupancy (live items + in-flight enqueues) ≤
+// cfg.ring_size — easiest via total enqueues ≤ capacity.  Overfilled
+// rings burn enqueue tickets by design (pruned schedules) and can exhaust
+// the threshold into a false EMPTY the checker rightly flags; see the
+// wcq_model.hpp caveat.
 inline ExploreResult explore_scq_exhaustive(const std::vector<ThreadScript>& scripts,
                                             const ExploreConfig& cfg = {}) {
     return detail_explore::run_exhaustive<ScqFamily>(scripts, cfg);

@@ -15,7 +15,8 @@
 //   kWait  --budget==0-->  kClaim              (timeout expired)
 //   kClaim --CAS win/lose-> kEntered           ("even if the CAS fails")
 //
-// and a DFS over every interleaving of every live thread's next step.
+// searched over every interleaving of every live thread's next step by
+// explore.hpp's core.
 // The model mirrors two deliberate details of the implementation: the
 // claiming CAS compares against the *last observed* tag (so it can lose
 // to a racing claimant), and the proceed-on-timeout ablation removes the
@@ -32,6 +33,8 @@
 
 #include <cstdint>
 #include <vector>
+
+#include "verify/explore.hpp"
 
 namespace lcrq::verify {
 
@@ -58,7 +61,7 @@ struct HierarchyModelConfig {
 
 struct HierarchyModelResult {
     std::uint64_t states = 0;        // interleaving prefixes explored
-    std::uint64_t leaves = 0;        // schedules run to quiescence
+    std::uint64_t leaves = 0;        // schedules run until no thread can step
     std::uint64_t blocked_leaves = 0;  // leaves with a live thread stuck
     std::uint64_t cas_lost_entries = 0;  // leaves where a claimant lost the
                                          // CAS and entered anyway
@@ -76,28 +79,36 @@ struct HierThread {
     bool cas_lost = false;
 };
 
-struct HierExplorer {
-    const HierarchyModelConfig& cfg;
-    HierarchyModelResult& res;
+// The search world: every thread's state machine plus the shared tag.
+struct HierWorld {
+    const HierarchyModelConfig* cfg;
+    std::vector<HierThread> ts;
+    int tag;
+    std::uint64_t depth = 0;
+    std::uint64_t handoffs = 0;  // claim transitions on this schedule
 
-    bool dead(int i, const HierThread& t) const {
-        return i == cfg.killed_thread && t.phase == cfg.kill_phase;
+    std::size_t threads() const { return ts.size(); }
+    std::uint64_t steps() const { return depth; }
+
+    bool dead(std::size_t i) const {
+        return static_cast<int>(i) == cfg->killed_thread &&
+               ts[i].phase == cfg->kill_phase;
     }
 
     // A thread has an enabled transition unless it entered, died, or is a
     // budget-exhausted waiter in the cohort-lock ablation whose tag is
     // still foreign (the blocked state the ablation exists to exhibit).
-    bool enabled(int i, const HierThread& t, int tag) const {
-        if (t.phase == HierPhase::kEntered || dead(i, t)) return false;
-        if (t.phase == HierPhase::kWait && !cfg.proceed_on_timeout &&
-            t.budget == 0 && tag != cfg.thread_cluster[i]) {
-            return false;
-        }
-        return true;
+    bool enabled(std::size_t i) const {
+        const HierThread& t = ts[i];
+        if (t.phase == HierPhase::kEntered || dead(i)) return false;
+        return !(t.phase == HierPhase::kWait && !cfg->proceed_on_timeout &&
+                 t.budget == 0 && tag != cfg->thread_cluster[i]);
     }
 
-    void step(int i, HierThread& t, int& tag, std::uint64_t& leaf_handoffs) const {
-        const int mine = cfg.thread_cluster[i];
+    void step(std::size_t i) {
+        HierThread& t = ts[i];
+        const int mine = cfg->thread_cluster[i];
+        ++depth;
         switch (t.phase) {
             case HierPhase::kLoad:
                 t.observed = tag;
@@ -105,7 +116,7 @@ struct HierExplorer {
                     t.phase = HierPhase::kEntered;
                 } else {
                     t.phase = HierPhase::kWait;
-                    t.budget = cfg.wait_budget;
+                    t.budget = cfg->wait_budget;
                 }
                 break;
             case HierPhase::kWait:
@@ -127,42 +138,34 @@ struct HierExplorer {
                 } else {
                     t.cas_lost = true;
                 }
-                ++leaf_handoffs;
+                ++handoffs;
                 t.phase = HierPhase::kEntered;
                 break;
             case HierPhase::kEntered:
                 break;
         }
     }
+};
 
-    void dfs(std::vector<HierThread>& threads, int tag, std::uint64_t depth,
-             std::uint64_t leaf_handoffs) {
+// Classifies each leaf: a live thread that has not entered is blocked.
+struct HierTally {
+    HierarchyModelResult& res;
+
+    bool stopped() const { return false; }
+    void pruned(const HierWorld&) {}  // no depth cap: never called
+    void reached(const HierWorld& w) {
         ++res.states;
-        if (depth > res.max_depth) res.max_depth = depth;
-        bool any_enabled = false;
-        for (std::size_t i = 0; i < threads.size(); ++i) {
-            if (!enabled(static_cast<int>(i), threads[i], tag)) continue;
-            any_enabled = true;
-            HierThread saved = threads[i];
-            int saved_tag = tag;
-            std::uint64_t handoffs = leaf_handoffs;
-            step(static_cast<int>(i), threads[i], tag, handoffs);
-            dfs(threads, tag, depth + 1, handoffs);
-            threads[i] = saved;
-            tag = saved_tag;
-        }
-        if (any_enabled) return;
-
-        // Quiescent leaf: classify it.
+        if (w.depth > res.max_depth) res.max_depth = w.depth;
+    }
+    void leaf(const HierWorld& w) {
         ++res.leaves;
-        res.handoffs += leaf_handoffs;
+        res.handoffs += w.handoffs;
         bool blocked = false;
         bool cas_lost = false;
-        for (std::size_t i = 0; i < threads.size(); ++i) {
-            const auto& t = threads[i];
-            if (dead(static_cast<int>(i), t)) continue;
-            if (t.phase != HierPhase::kEntered) blocked = true;
-            if (t.phase == HierPhase::kEntered && t.cas_lost) cas_lost = true;
+        for (std::size_t i = 0; i < w.ts.size(); ++i) {
+            if (w.dead(i)) continue;
+            if (w.ts[i].phase != HierPhase::kEntered) blocked = true;
+            else if (w.ts[i].cas_lost) cas_lost = true;
         }
         if (blocked) {
             ++res.blocked_leaves;
@@ -174,16 +177,17 @@ struct HierExplorer {
 
 }  // namespace detail
 
-// Exhaustively explore every interleaving.  The DFS has no pruning and no
-// depth cap: each thread takes at most wait_budget + 3 steps, so every
-// schedule terminates (in the ablation, by blocking) and the exploration
-// is exhaustive by construction.
+// Exhaustively explore every interleaving.  The search has no depth cap:
+// each thread takes at most wait_budget + 3 steps, so every schedule
+// terminates (in the ablation, by blocking) and the exploration is
+// exhaustive by construction.
 inline HierarchyModelResult explore_hierarchy(const HierarchyModelConfig& cfg) {
     HierarchyModelResult res;
-    std::vector<detail::HierThread> threads(cfg.thread_cluster.size());
-    detail::HierExplorer ex{cfg, res};
-    int tag = cfg.initial_tag;
-    ex.dfs(threads, tag, 0, 0);
+    detail::HierTally tally{res};
+    const detail::HierWorld world{
+        &cfg, std::vector<detail::HierThread>(cfg.thread_cluster.size()),
+        cfg.initial_tag};
+    search_exhaustive(world, ~std::uint64_t{0}, tally);
     return res;
 }
 

@@ -1,18 +1,53 @@
-// A small-step executable model of the wCQ helping protocol (verify
-// substrate; companion of scq_model.hpp).
+// A small-step executable model of the SCQ ring and of wCQ, which is the
+// SCQ ring plus a helping layer (verify substrate; companion of
+// crq_model.hpp).
 //
-// Mirrors `queues/wcq.hpp`'s WcqRing: the SCQ fast path (F&A ticket,
-// cycle/safe entry CAS, threshold-bounded EMPTY) extended with the wCQ
-// slow path — request publication, note reservation, the single-word
-// commit CAS on the request's arg word, idempotent cleanup — with every
-// shared-memory access as one atomic step, so the explorer (explore.hpp)
-// can enumerate the interleavings the helping layer exists for: a
-// requester killed between placing its note and committing it, a ticket
-// holder resolving a foreign note mid-chase, and the two-helpers-race on
-// the commit word whose blind-revert variant loses items (see
-// `corrected` below).
+// Mirrors ScqRing (`queues/scq.hpp`) and WcqRing (`queues/wcq.hpp`)
+// with *every shared-memory access as one atomic step*, so the explorer
+// (explore.hpp) can enumerate the interleavings each protocol exists for.
+// One op machine runs both:
 //
-// Fidelity notes (kept in sync with wcq.hpp by the differential test):
+//   * SCQ mode (helping off; ScqModelOp / make_scq_model_op): the fast
+//     path only — F&A ticket, cycle/safe entry CAS, threshold-bounded
+//     EMPTY, catchup — with the consume a fetch-or, as in ScqRing::take_at.
+//     It covers an enqueuer stalled between its F&A and its entry CAS
+//     while dequeuers lap the ring, the threshold draining to a correct
+//     EMPTY under a racing slow enqueuer, and the catchup repair of
+//     head > tail.
+//   * wCQ mode (helping on; make_wcq_model_op): the same fast path with a
+//     CAS consume (the cell must not be stamped while a helper could be
+//     turning it into a note), extended after `patience` failed rounds
+//     with the slow path — request publication, note reservation, the
+//     single-word commit CAS on the request's arg word, idempotent
+//     cleanup.  It covers a requester killed between placing its note and
+//     committing it, a ticket holder resolving a foreign note mid-chase,
+//     and the two-helpers-race on the commit word whose blind-revert
+//     variant loses items (see `corrected` below).
+//
+// The consume is the only step in which the modes differ.  wCQ's extra
+// dequeue branch (cycle == cycle(h) with ⊥: the cell was consumed through
+// a note) cannot fire in SCQ mode, because only the holder of ticket h
+// writes cycle(h), and it does so with an item or by its own empty
+// transition, after which it never re-reads the cell.
+//
+// The model is the *value-carrying ring*: entries hold script values
+// directly (⊥ = kBottom), where the production ring holds slot indices and
+// pairs two rings over a data array.  The pairing adds no new transition
+// kind — aq and fq are both this protocol — so the ring model is the part
+// worth enumerating, and the model-vs-real differentials run against a raw
+// ScqRing / WcqRing holding small integers.
+//
+// Fidelity notes (kept in sync with both rings by the differential tests):
+//   * entries are modeled unpacked (cycle, safe, idx, note fields) — the
+//     production entry packs note|kind|tag|slot into spare cycle bits; the
+//     packing is bijective, so one modeled CAS is one real CAS.
+//   * the cache remap is modeled as identity; it permutes slots without
+//     changing the protocol (and is identity for tiny real rings anyway).
+//   * no close path: neither ring closes itself (the close is one T&S
+//     exercised by the list-level tests, not a ring transition worth
+//     enumerating), so there is no closed bit, the kClosed resolutions
+//     drop out and fix_tail always succeeds (it still takes its load+CAS
+//     steps — the tail race is real).
 //   * per-request records: the production ring multiplexes 64 tagged
 //     slots and re-tags them per request; request identity there is
 //     (slot, 16-bit tag), bijective to a fresh record up to the
@@ -23,9 +58,6 @@
 //     fallback-to-fast-path liveness detail, not a protocol transition
 //     (a fresh record per request is exactly what owner-mediated reuse
 //     guarantees each live requester).
-//   * no close path: like the SCQ ring model, the ring never closes, so
-//     the kClosed resolutions drop out and fix_tail always succeeds
-//     (it still takes its load+CAS steps — the tail race is real).
 //   * self-help only: the help_if_needed() peer scan is not modeled (it
 //     only changes *who* runs help steps, not which steps exist); note
 //     resolution by fast-path ticket holders that encounter a note IS
@@ -51,9 +83,15 @@
 // corrected protocol re-reads arg and only reverts notes that lost to a
 // different ticket (wcq.hpp does the same).
 //
-// Contract caveat for script authors: same as the SCQ model — keep ring
-// occupancy (live items + in-flight enqueues) ≤ capacity, the invariant
-// the fq/aq pairing enforces in the full Wcq.
+// Contract caveat for script authors, in both modes: the ring is correct
+// only while its *occupancy* — live items plus in-flight enqueues — stays
+// ≤ capacity, the invariant the fq/aq pairing enforces in the full Scq and
+// Wcq (fq can hand out at most n indices).  Overfilled scripts make
+// enqueuers burn tickets forever (pruned schedules) and can legitimately
+// drive the 3n-1 threshold to a false EMPTY — the explorer will report
+// those as real linearizability violations, because they are: that is the
+// ring outside its operating envelope, not a model bug.  The simplest safe
+// script shape is total enqueues ≤ capacity.
 #pragma once
 
 #include <algorithm>
@@ -66,10 +104,9 @@
 
 namespace lcrq::verify {
 
-// Shared wCQ ring state: SCQ's head/tail/threshold/ring plus the helping
-// records.  Cells carry the note reservation unpacked (the production
-// entry packs note|kind|tag|slot into spare cycle bits; the packing is
-// bijective, so one modeled CAS is one real CAS).
+// Shared ring state: capacity n, ring of N = 2n entries, head/tail
+// starting one full lap in (cycle 1) as in the production ring, threshold
+// -1 (empty), plus the helping records (wCQ mode only).
 struct WcqModelState {
     static constexpr std::uint32_t kNoRec = ~std::uint32_t{0};
     static constexpr std::uint64_t kArgNone = ~std::uint64_t{0};
@@ -103,7 +140,7 @@ struct WcqModelState {
     };
     std::vector<Rec> recs;
 
-    // Coverage counters (not protocol state); cf. ScqModelState.
+    // Coverage counters (not protocol state); cf. CrqModelState.
     std::uint32_t unsafe_transitions = 0;
     std::uint32_t empty_transitions = 0;
     std::uint32_t enq_rescues = 0;
@@ -135,30 +172,12 @@ struct WcqModelState {
     std::uint64_t cycle_of_ticket(std::uint64_t t) const noexcept {
         return t / N();
     }
-
-    std::uint64_t hash() const noexcept {
-        std::uint64_t h = head * 0x9e3779b97f4a7c15ULL ^ tail;
-        h = (h ^ static_cast<std::uint64_t>(threshold)) * 0x100000001b3ULL;
-        for (const Cell& c : ring) {
-            h = (h ^ c.cycle) * 0x100000001b3ULL;
-            h = (h ^ (c.safe ? 1u : 0u) ^ (c.note ? 2u : 0u) ^
-                 (c.note_deq ? 4u : 0u)) *
-                0x100000001b3ULL;
-            h = (h ^ c.idx ^ c.rec) * 0x100000001b3ULL;
-        }
-        for (const Rec& r : recs) {
-            h = (h ^ r.ticket ^ (r.pending ? 8u : 0u) ^ (r.deq ? 16u : 0u)) *
-                0x100000001b3ULL;
-            h = (h ^ r.arg ^ r.val) * 0x100000001b3ULL;
-        }
-        return h;
-    }
 };
 
-// One wCQ operation as a resumable step machine.  Program counters:
-//   fast enqueue  0-5   (ScqModelOp layout, plus note awareness at pc 1)
-//   fast dequeue 10-21  (ScqModelOp layout; consume is a CAS, not
-//                        fetch-or, exactly as in wcq.hpp's take_at)
+// One ring operation as a resumable step machine.  Program counters:
+//   fast enqueue  0-5   (note awareness at pc 1 in wCQ mode)
+//   fast dequeue 10-21  (consume at pc 13: fetch-or in SCQ mode, CAS in
+//                        wCQ mode, exactly as in the two take_at)
 //   slow enqueue 30-46  (publish, help loop, fix_tail, commit, cleanup)
 //   slow dequeue 50-67  (publish, help loop, EMPTY commit, cleanup)
 //   resolve_note 80-90  (subroutine; returns to rs_ret_)
@@ -167,9 +186,15 @@ class WcqModelOp {
     using Kind = CrqModelOp::Kind;
     using Status = CrqModelOp::Status;
 
+    // helping = false is SCQ mode: patience, corrected and force_slow are
+    // then unused.
     WcqModelOp(Kind kind, value_t arg, unsigned patience, bool corrected,
-               bool force_slow)
-        : kind_(kind), arg_(arg), patience_(patience), corrected_(corrected) {
+               bool force_slow, bool helping = true)
+        : kind_(kind),
+          arg_(arg),
+          patience_(patience),
+          corrected_(corrected),
+          helping_(helping) {
         if (kind_ == Kind::kDequeue) pc_ = force_slow ? 50 : 10;
         else pc_ = force_slow ? 30 : 0;
     }
@@ -186,23 +211,6 @@ class WcqModelOp {
     value_t result() const noexcept { return result_; }
     Kind kind() const noexcept { return kind_; }
     value_t arg() const noexcept { return arg_; }
-
-    friend bool operator==(const WcqModelOp&, const WcqModelOp&) = default;
-
-    std::uint64_t hash() const noexcept {
-        std::uint64_t h = static_cast<std::uint64_t>(pc_);
-        h = h * 31 + t_;
-        h = h * 31 + cand_;
-        h = h * 31 + ct_;
-        h = h * 31 + tsnap_;
-        h = h * 31 + rec_;
-        h = h * 31 + rounds_;
-        h = h * 31 + rs_rec_;
-        h = h * 31 + rs_t_;
-        h = h * 31 + static_cast<std::uint64_t>(rs_ret_);
-        h = h * 31 + (placed_ ? 1u : 0u) + (done_ ? 2u : 0u);
-        return h;
-    }
 
   private:
     using Cell = WcqModelState::Cell;
@@ -232,9 +240,10 @@ class WcqModelOp {
         return Status::kRunning;
     }
 
-    void fail_enq_round() { pc_ = ++rounds_ > patience_ ? 30 : 0; }
+    // A fast-path round failed: retry, or (wCQ) go slow once out of patience.
+    void fail_enq_round() { pc_ = helping_ && ++rounds_ > patience_ ? 30 : 0; }
 
-    // --- fast enqueue: mirrors WcqRing::enqueue / put_at ------------------
+    // --- fast enqueue: mirrors ScqRing/WcqRing::enqueue and put_at ---------
     Status step_enq(WcqModelState& s) {
         switch (pc_) {
             case 0:
@@ -294,7 +303,7 @@ class WcqModelOp {
         }
     }
 
-    // --- fast dequeue: mirrors WcqRing::dequeue / take_at / catchup -------
+    // --- fast dequeue: mirrors ScqRing/WcqRing::dequeue, take_at, catchup --
     Status step_deq(WcqModelState& s) {
         switch (pc_) {
             case 10:
@@ -323,9 +332,15 @@ class WcqModelOp {
                 return Status::kRunning;
             }
             case 13: {
-                // Consume: a CAS (not fetch-or) — the cell must not be
-                // stamped while a helper could be turning it into a note.
+                // Consume.  SCQ: a fetch-or that stamps ⊥ and cannot fail
+                // (concurrent transitions can only have flipped safe).
+                // wCQ: a CAS — the cell must not be stamped while a helper
+                // could be turning it into a note.
                 Cell& c = cell(s, t_);
+                if (!helping_) {
+                    c.idx = kBottom;
+                    return finish(cell_.idx);
+                }
                 if (c == cell_) {
                     c = {s.cycle_of_ticket(t_), cell_.safe, kBottom};
                     return finish(cell_.idx);
@@ -391,7 +406,7 @@ class WcqModelOp {
                     ++s.threshold_empties;
                     return finish(kEmpty);
                 }
-                pc_ = ++rounds_ > patience_ ? 50 : 11;
+                pc_ = helping_ && ++rounds_ > patience_ ? 50 : 11;
                 return Status::kRunning;
             default: return finish(kEmpty);
         }
@@ -807,6 +822,7 @@ class WcqModelOp {
     value_t arg_;
     unsigned patience_;
     bool corrected_;
+    bool helping_;
     unsigned pc_ = 0;
     unsigned rounds_ = 0;
     bool tried_resolve_ = false;
@@ -833,6 +849,13 @@ inline WcqModelOp make_wcq_model_op(WcqModelOp::Kind kind, value_t arg,
                                     bool corrected = true,
                                     bool force_slow = false) {
     return WcqModelOp(kind, arg, patience, corrected, force_slow);
+}
+
+// The SCQ ring: the same machine with helping off.
+using ScqModelState = WcqModelState;
+using ScqModelOp = WcqModelOp;
+inline ScqModelOp make_scq_model_op(ScqModelOp::Kind kind, value_t arg) {
+    return ScqModelOp(kind, arg, 0, true, false, /*helping=*/false);
 }
 
 }  // namespace lcrq::verify

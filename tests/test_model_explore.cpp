@@ -570,6 +570,23 @@ TEST(ExploreScq, ExhaustiveOneEnqOneDeq) {
     expect_counts(r, {.schedules = 6});
 }
 
+TEST(ExploreScq, BudgetOfExactlyTheScheduleCountIsNotTruncated) {
+    // The one-enqueue/one-dequeue script has 6 schedules: a budget of 6
+    // completes the search, a budget of 5 cuts the sixth.
+    ExploreConfig cfg = tiny();
+    cfg.max_schedules = 6;
+    const auto whole = explore_scq_exhaustive({{enq_op(1)}, {deq_op()}}, cfg);
+    EXPECT_FALSE(whole.truncated) << whole.summary();
+    EXPECT_TRUE(whole.ok()) << whole.summary();
+    EXPECT_EQ(whole.schedules, 6u) << whole.summary();
+
+    cfg.max_schedules = 5;
+    const auto cut = explore_scq_exhaustive({{enq_op(1)}, {deq_op()}}, cfg);
+    EXPECT_TRUE(cut.truncated) << cut.summary();
+    EXPECT_FALSE(cut.ok()) << cut.summary();
+    EXPECT_EQ(cut.schedules, 5u) << cut.summary();
+}
+
 TEST(ExploreScq, ExhaustiveTwoEnqueuersTwoSlots) {
     const auto r = explore_scq_exhaustive({{enq_op(1)}, {enq_op(2)}}, tiny());
     EXPECT_FALSE(r.truncated) << r.summary();
@@ -1055,11 +1072,12 @@ TEST(HierarchyModel, AblationBlocksAgainstDeadOwnerAndTimeoutProceedFixesIt) {
 // --- the facade's gated wake (blocking_queue.hpp EventCount) -------------
 
 // Exhaustive model of the gated wake: every interleaving of one waiter
-// (snapshot the epoch, announce, re-check for the item, sleep if the epoch
-// is unchanged) and one signaler (publish the item, check for waiters,
-// bump the epoch if any, wake a sleeper).  Each step is atomic and steps
-// are sequentially consistent, which the facade buys with its two seq_cst
-// fences.  This SC model does not cover x86-TSO store->load reordering — a
+// (thread 0: snapshot the epoch, announce, re-check for the item, sleep if
+// the epoch is unchanged) and one signaler (thread 1: publish the item,
+// check for waiters, bump the epoch if any, wake a sleeper), searched by
+// explore.hpp's core with the model as its world.  Each step is atomic
+// and steps are sequentially consistent, which the facade buys with its
+// two seq_cst fences.  This SC model does not cover x86-TSO store->load reordering — a
 // fence deleted from the code would not show here; that needs the store
 // buffer model of ROADMAP direction 1.
 struct WakeModel {
@@ -1074,6 +1092,15 @@ struct WakeModel {
     bool done = false;  // found the item, or saw the epoch move
     // signaler locals
     bool saw_waiter = false;
+    int next[2] = {0, 0};  // next step of the waiter and of the signaler
+
+    std::size_t threads() const { return 2; }
+    bool enabled(std::size_t i) const { return next[i] < 4; }
+    std::uint64_t steps() const { return static_cast<std::uint64_t>(next[0] + next[1]); }
+    void step(std::size_t i) {
+        if (i == 0) waiter_step(next[0]++);
+        else signaler_step(next[1]++);
+    }
 
     void waiter_step(int pc) {
         if (done) return;
@@ -1096,31 +1123,26 @@ struct WakeModel {
     }
 };
 
-struct WakeSearch {
+struct WakeTally {
     std::uint64_t schedules = 0, lost = 0;
 
-    void run(WakeModel m, int w, int s) {
-        if (w == 4 && s == 4) {
-            ++schedules;
-            if (m.item && m.asleep) ++lost;  // published, asleep, no wake left
-            return;
-        }
-        if (w < 4) {
-            WakeModel next = m;
-            next.waiter_step(w);
-            run(next, w + 1, s);
-        }
-        if (s < 4) {
-            WakeModel next = m;
-            next.signaler_step(s);
-            run(next, w, s + 1);
-        }
+    bool stopped() const { return false; }
+    void reached(const WakeModel&) {}
+    void pruned(const WakeModel&) {}
+    void leaf(const WakeModel& m) {
+        ++schedules;
+        if (m.item && m.asleep) ++lost;  // published, asleep, no wake left
     }
 };
 
+WakeTally search_wake(const WakeModel& m) {
+    WakeTally tally;
+    search_exhaustive(m, ~std::uint64_t{0}, tally);
+    return tally;
+}
+
 TEST(GatedWakeModel, NoInterleavingLosesTheWake) {
-    WakeSearch search;
-    search.run(WakeModel{}, 0, 0);
+    const WakeTally search = search_wake(WakeModel{});
     EXPECT_EQ(search.schedules, 70u) << "C(8,4) interleavings";
     EXPECT_EQ(search.lost, 0u);
 }
@@ -1128,12 +1150,10 @@ TEST(GatedWakeModel, NoInterleavingLosesTheWake) {
 TEST(GatedWakeModel, WaiterCheckBeforePublishLosesTheWake) {
     WakeModel broken;
     broken.check_before_publish = true;
-    WakeSearch search;
-    search.run(broken, 0, 0);
+    const WakeTally search = search_wake(broken);
     EXPECT_EQ(search.schedules, 70u);
     EXPECT_GT(search.lost, 0u) << "the explorer must find the lost wake";
 }
-
 
 }  // namespace
 }  // namespace lcrq::verify
