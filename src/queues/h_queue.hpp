@@ -1,58 +1,5 @@
-// H-Queue (Fatourou & Kallimanis, PPoPP 2012): the two-lock queue with
-// each lock replaced by an H-Synch hierarchical combining instance.  The
-// strongest combining baseline in the paper's four-processor experiments.
+// H-Queue (Fatourou & Kallimanis, PPoPP 2012): the two-lock combining
+// queue of cc_queue.hpp over one H-Synch list per cluster.
 #pragma once
 
-#include <optional>
-
-#include "queues/hsynch.hpp"
-#include "queues/two_lock_queue.hpp"
-#include "topology/topology.hpp"
-
-namespace lcrq {
-
-class HQueue {
-  public:
-    static constexpr const char* kName = "h-queue";
-
-    explicit HQueue(const QueueOptions& opt = {})
-        : clusters_(opt.clusters > 0 ? opt.clusters : topo::discover().num_clusters),
-          enq_side_(list_, &apply_enqueue, opt.combiner_bound, clusters_),
-          deq_side_(list_, &apply_dequeue, opt.combiner_bound, clusters_) {}
-
-    void enqueue(value_t x) {
-        CombineRequest req;
-        req.is_enqueue = true;
-        req.arg = x;
-        enq_side_.apply(req);
-    }
-
-    std::optional<value_t> dequeue() {
-        CombineRequest req;
-        req.is_enqueue = false;
-        const value_t v = deq_side_.apply(req);
-        if (v == kBottom) return std::nullopt;
-        return v;
-    }
-
-    int clusters() const noexcept { return clusters_; }
-
-  private:
-    static void apply_enqueue(MsTwoLockList& list, CombineRequest& req) {
-        list.push_tail(req.arg);
-        req.result = kBottom;
-    }
-    static void apply_dequeue(MsTwoLockList& list, CombineRequest& req) {
-        const auto v = list.pop_head();
-        req.result = v.has_value() ? *v : kBottom;
-    }
-
-    using ApplyFn = void (*)(MsTwoLockList&, CombineRequest&);
-
-    int clusters_;
-    MsTwoLockList list_;
-    HSynch<MsTwoLockList, ApplyFn> enq_side_;
-    HSynch<MsTwoLockList, ApplyFn> deq_side_;
-};
-
-}  // namespace lcrq
+#include "queues/cc_queue.hpp"

@@ -1,140 +1,13 @@
 // H-Synch — the hierarchical combining construction of Fatourou &
-// Kallimanis (PPoPP 2012), used by H-Queue.
-//
-// One CC-Synch publication list per cluster plus one global lock.  A
-// thread publishes into its own cluster's list; the cluster's combiner
-// acquires the global lock, applies its cluster's batch, releases.  Whole
-// batches of same-cluster operations execute back to back, so the shared
-// object's cache lines cross sockets once per batch instead of once per
-// operation — the same locality argument as LCRQ+H's cluster handoff, but
-// with blocking.
+// Kallimanis (PPoPP 2012), used by H-Queue: the combiner of ccsynch.hpp
+// with one publication list per cluster.
 #pragma once
 
-#include <atomic>
-#include <vector>
-
-#include "arch/backoff.hpp"
-#include "arch/cacheline.hpp"
-#include "arch/faa_policy.hpp"
-#include "arch/thread_id.hpp"
-#include "queues/queue_common.hpp"
-#include "queues/two_lock_queue.hpp"
-#include "topology/topology.hpp"
+#include "queues/ccsynch.hpp"
 
 namespace lcrq {
 
 template <typename Object, typename ApplyFn>
-class HSynch {
-  public:
-    HSynch(Object& object, ApplyFn apply, unsigned bound, int clusters)
-        : object_(object),
-          apply_(apply),
-          bound_(bound == 0 ? 1 : bound),
-          lists_(static_cast<std::size_t>(clusters < 1 ? 1 : clusters)) {
-        for (auto& l : lists_) {
-            auto* dummy = check_alloc(new (std::nothrow) Node);
-            l->tail.store(dummy, std::memory_order_relaxed);
-        }
-        for (auto& s : spare_) s = nullptr;
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-    }
-
-    ~HSynch() {
-        for (auto& l : lists_) delete l->tail.load(std::memory_order_relaxed);
-        for (auto* s : spare_) delete s;
-    }
-
-    HSynch(const HSynch&) = delete;
-    HSynch& operator=(const HSynch&) = delete;
-
-    value_t apply(CombineRequest req) {
-        const auto cluster = static_cast<std::size_t>(topo::current_cluster()) %
-                             lists_.size();
-        ClusterListBody& list = *lists_[cluster];
-
-        Node* next = my_spare();
-        next->next.store(nullptr, std::memory_order_relaxed);
-        next->wait.store(true, std::memory_order_relaxed);
-        next->completed.store(false, std::memory_order_relaxed);
-
-        Node* cur = counted_swap(list.tail, next);
-        cur->req = req;
-        cur->next.store(next, std::memory_order_release);
-        spare_[thread_index()] = cur;
-
-        SpinWait waiter;
-        while (cur->wait.load(std::memory_order_acquire)) waiter.spin();
-        if (cur->completed.load(std::memory_order_acquire)) {
-            return cur->req.result;
-        }
-
-        // Cluster combiner: serialize against other clusters' combiners,
-        // then apply this cluster's batch.
-        stats::count(stats::Event::kCombinerAcquire);
-        global_lock_->lock();
-        Node* node = cur;
-        unsigned combined = 0;
-        while (true) {
-            Node* follower = node->next.load(std::memory_order_acquire);
-            if (follower == nullptr || combined >= bound_) break;
-            apply_(object_, node->req);
-            ++combined;
-            node->completed.store(true, std::memory_order_relaxed);
-            node->wait.store(false, std::memory_order_release);
-            node = follower;
-        }
-        global_lock_->unlock();
-        stats::count(stats::Event::kCombine, combined);
-        node->wait.store(false, std::memory_order_release);
-        return cur->req.result;
-    }
-
-  private:
-    struct alignas(kCacheLineSize) Node {
-        CombineRequest req{};
-        std::atomic<bool> wait{false};
-        std::atomic<bool> completed{false};
-        std::atomic<Node*> next{nullptr};
-    };
-
-    struct ClusterListBody {
-        std::atomic<Node*> tail{nullptr};
-    };
-    using ClusterList = CacheAligned<ClusterListBody, kDestructivePairSize>;
-
-    // vector<CacheAligned> of immovable atomics: allocate stable storage.
-    class ListArray {
-      public:
-        explicit ListArray(std::size_t n) : n_(n) {
-            data_ = check_alloc(aligned_array_alloc<ClusterList>(n, kDestructivePairSize));
-            for (std::size_t i = 0; i < n_; ++i) new (&data_[i]) ClusterList();
-        }
-        ~ListArray() {
-            for (std::size_t i = 0; i < n_; ++i) data_[i].~ClusterList();
-            aligned_array_free(data_, kDestructivePairSize);
-        }
-        ClusterList* begin() noexcept { return data_; }
-        ClusterList* end() noexcept { return data_ + n_; }
-        ClusterList& operator[](std::size_t i) noexcept { return data_[i]; }
-        std::size_t size() const noexcept { return n_; }
-
-      private:
-        std::size_t n_;
-        ClusterList* data_;
-    };
-
-    Node* my_spare() {
-        auto& slot = spare_[thread_index()];
-        if (slot == nullptr) slot = check_alloc(new (std::nothrow) Node);
-        return slot;
-    }
-
-    Object& object_;
-    ApplyFn apply_;
-    const unsigned bound_;
-    ListArray lists_;
-    CacheAligned<SpinLock, kDestructivePairSize> global_lock_;
-    Node* spare_[kMaxThreads];
-};
+using HSynch = Combiner<Object, ApplyFn>;
 
 }  // namespace lcrq

@@ -189,50 +189,31 @@ const std::vector<Entry>& entries() {
     return all;
 }
 
-// "lcrq-ml8" → {"lcrq-ml", 8}.  Only catalog names ending in "-ml" take the
-// knob; anything without a positive all-digit suffix after "-ml" is not a
-// knob spelling (so plain "lcrq-ml" and unknown names fall through).
-struct MlKnob {
+// Digit knobs: "lcrq-ml8" → {"lcrq-ml", 8 lanes}, "lcrq-h250" → {"lcrq-h",
+// 250 µs}.  `name` must end in `suffix` plus a non-empty all-digit value
+// ≤ `cap`, else it is not a knob spelling (so plain "lcrq-ml" and unknown
+// names fall through).  0 lanes is not a queue, but a 0 µs timeout is
+// valid ("claim a foreign segment immediately" — a meaningful ablation);
+// the timeout cap keeps the µs→ns conversion far from overflow.
+struct DigitKnob {
     std::string base;
-    std::size_t lanes;
+    std::uint64_t value;
 };
 
-std::optional<MlKnob> split_ml_knob(const std::string& name) {
-    const std::size_t pos = name.rfind("-ml");
+std::optional<DigitKnob> split_digit_knob(const std::string& name, const char* suffix,
+                                          std::uint64_t cap, bool zero_ok) {
+    const std::size_t pos = name.rfind(suffix);
     if (pos == std::string::npos) return std::nullopt;
-    const std::string digits = name.substr(pos + 3);
-    if (digits.empty()) return std::nullopt;
-    std::size_t lanes = 0;
-    for (char c : digits) {
-        if (c < '0' || c > '9') return std::nullopt;
-        lanes = lanes * 10 + static_cast<std::size_t>(c - '0');
-        if (lanes > kMaxLanes) return std::nullopt;
+    const std::size_t end = pos + std::char_traits<char>::length(suffix);
+    if (end == name.size()) return std::nullopt;
+    std::uint64_t value = 0;
+    for (std::size_t i = end; i < name.size(); ++i) {
+        if (name[i] < '0' || name[i] > '9') return std::nullopt;
+        value = value * 10 + static_cast<std::uint64_t>(name[i] - '0');
+        if (value > cap) return std::nullopt;
     }
-    if (lanes == 0) return std::nullopt;
-    return MlKnob{name.substr(0, pos + 3), lanes};
-}
-
-// "lcrq-h250" → {"lcrq-h", 250 µs}.  Same grammar as the -ml knob, with
-// one deliberate difference: 0 is a valid timeout ("claim a foreign
-// segment immediately" — a meaningful ablation), whereas 0 lanes is not a
-// queue.  The digit cap keeps the µs→ns conversion far from overflow.
-struct HKnob {
-    std::string base;
-    std::uint64_t timeout_us;
-};
-
-std::optional<HKnob> split_h_knob(const std::string& name) {
-    const std::size_t pos = name.rfind("-h");
-    if (pos == std::string::npos) return std::nullopt;
-    const std::string digits = name.substr(pos + 2);
-    if (digits.empty()) return std::nullopt;
-    std::uint64_t us = 0;
-    for (char c : digits) {
-        if (c < '0' || c > '9') return std::nullopt;
-        us = us * 10 + static_cast<std::uint64_t>(c - '0');
-        if (us > 10'000'000) return std::nullopt;  // > 10 s: not a timeout
-    }
-    return HKnob{name.substr(0, pos + 2), us};
+    if (value == 0 && !zero_ok) return std::nullopt;
+    return DigitKnob{name.substr(0, end), value};
 }
 
 // "lcrq-huge" → "lcrq".  Unlike -ml/-h this knob is boolean: it takes no
@@ -260,15 +241,15 @@ const Entry* find_entry(const std::string& name) {
 // callers before this runs.)
 const Entry* resolve_entry(const std::string& name, QueueOptions& opt) {
     if (const Entry* e = find_entry(name)) return e;
-    if (const auto knob = split_ml_knob(name)) {
+    if (const auto knob = split_digit_knob(name, "-ml", kMaxLanes, false)) {
         if (const Entry* e = find_entry(knob->base)) {
-            opt.lanes = knob->lanes;
+            opt.lanes = static_cast<std::size_t>(knob->value);
             return e;
         }
     }
-    if (const auto knob = split_h_knob(name)) {
+    if (const auto knob = split_digit_knob(name, "-h", 10'000'000, true)) {  // ≤ 10 s
         if (const Entry* e = find_entry(knob->base)) {
-            opt.cluster_timeout_ns = knob->timeout_us * 1'000;
+            opt.cluster_timeout_ns = knob->value * 1'000;
             return e;
         }
     }
