@@ -3,6 +3,10 @@
 # the std::atomic-only modules (TSan cannot see through the cmpxchg16b
 # inline asm in the CRQ fast path, so CRQ/LCRQ suites are exercised under
 # ASan and the checker-based tests instead).
+#
+# For an edit under src/verify/ (step models and the schedule explorer),
+# the quick loop is the `model` label:
+#   cmake --build build && ctest --test-dir build -L model
 set -euo pipefail
 cmake -B build -G Ninja
 cmake --build build

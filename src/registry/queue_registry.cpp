@@ -3,6 +3,7 @@
 #include <cassert>
 #include <functional>
 #include <map>
+#include <string_view>
 
 #include "queues/bounded_mpmc_queue.hpp"
 #include "queues/cc_queue.hpp"
@@ -200,11 +201,12 @@ struct DigitKnob {
     std::uint64_t value;
 };
 
-std::optional<DigitKnob> split_digit_knob(const std::string& name, const char* suffix,
-                                          std::uint64_t cap, bool zero_ok) {
+std::optional<DigitKnob> split_digit_knob(const std::string& name,
+                                          std::string_view suffix, std::uint64_t cap,
+                                          bool zero_ok) {
     const std::size_t pos = name.rfind(suffix);
     if (pos == std::string::npos) return std::nullopt;
-    const std::size_t end = pos + std::char_traits<char>::length(suffix);
+    const std::size_t end = pos + suffix.size();
     if (end == name.size()) return std::nullopt;
     std::uint64_t value = 0;
     for (std::size_t i = end; i < name.size(); ++i) {

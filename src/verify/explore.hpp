@@ -45,7 +45,7 @@ namespace lcrq::verify {
 // or the live ones are blocked.  A visitor sees the search:
 //   void reached(const W&)   every world the search enters, leaves included
 //   void leaf(const W&)      one completed schedule
-//   void pruned(const W&)    a schedule cut at max_steps
+//   void pruned()            a schedule cut at max_steps
 //   bool stopped() const     end the search now (exhaustive budget spent)
 
 // Every interleaving, depth first, copying the world at each branch.
@@ -55,7 +55,7 @@ void search_exhaustive(const W& world, std::uint64_t max_steps, V& visitor) {
     bool leaf = true;
     for (std::size_t i = 0; i < world.threads() && leaf; ++i) leaf = !world.enabled(i);
     if (leaf) return visitor.leaf(world);
-    if (world.steps() >= max_steps) return visitor.pruned(world);
+    if (world.steps() >= max_steps) return visitor.pruned();
     for (std::size_t i = 0; i < world.threads() && !visitor.stopped(); ++i) {
         if (!world.enabled(i)) continue;
         W branch = world;
@@ -75,7 +75,7 @@ void search_random(W world, std::uint64_t max_steps, Xoshiro256& rng, V& visitor
             if (world.enabled(i)) enabled.push_back(i);
         }
         if (enabled.empty()) return visitor.leaf(world);
-        if (world.steps() >= max_steps) return visitor.pruned(world);
+        if (world.steps() >= max_steps) return visitor.pruned();
         world.step(enabled[rng.bounded(enabled.size())]);
     }
 }
@@ -253,7 +253,7 @@ struct World {
 
         explicit Thread(typename Family::Op initial) : op(initial) {}
     };
-    std::vector<Thread> threads_;
+    std::vector<Thread> per_thread;
     const ExploreConfig* cfg;
     History history;
     std::uint64_t step_count = 0;
@@ -262,21 +262,21 @@ struct World {
         : shared(Family::make_state(config)), cfg(&config) {
         for (std::size_t i = 0; i < scripts.size(); ++i) {
             // Placeholder op; replaced at activation.
-            threads_.push_back(Thread(Family::make_op(enq_op(0), config)));
-            threads_.back().script = &scripts[i];
+            per_thread.push_back(Thread(Family::make_op(enq_op(0), config)));
+            per_thread.back().script = &scripts[i];
         }
     }
 
-    std::size_t threads() const { return threads_.size(); }
+    std::size_t threads() const { return per_thread.size(); }
     std::uint64_t steps() const { return step_count; }
 
     bool enabled(std::size_t i) const {
-        const Thread& t = threads_[i];
+        const Thread& t = per_thread[i];
         return t.active || t.next_op < t.script->size();
     }
 
     void step(std::size_t i) {
-        Thread& t = threads_[i];
+        Thread& t = per_thread[i];
         ++step_count;
         if (!t.active) {
             t.op = Family::make_op((*t.script)[t.next_op], *cfg);
@@ -332,7 +332,7 @@ struct Checker {
 
     bool stopped() const { return out.truncated; }
     void reached(const World<Family>&) {}
-    void pruned(const World<Family>&) { ++out.pruned; }  // livelocked or overlong
+    void pruned() { ++out.pruned; }  // livelocked or overlong
     void leaf(const World<Family>& world) {
         if (out.schedules == budget) {
             out.truncated = true;

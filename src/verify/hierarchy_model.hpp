@@ -17,6 +17,7 @@
 //
 // searched over every interleaving of every live thread's next step by
 // explore.hpp's core.
+//
 // The model mirrors two deliberate details of the implementation: the
 // claiming CAS compares against the *last observed* tag (so it can lose
 // to a racing claimant), and the proceed-on-timeout ablation removes the
@@ -82,31 +83,31 @@ struct HierThread {
 // The search world: every thread's state machine plus the shared tag.
 struct HierWorld {
     const HierarchyModelConfig* cfg;
-    std::vector<HierThread> ts;
+    std::vector<HierThread> per_thread;
     int tag;
     std::uint64_t depth = 0;
     std::uint64_t handoffs = 0;  // claim transitions on this schedule
 
-    std::size_t threads() const { return ts.size(); }
+    std::size_t threads() const { return per_thread.size(); }
     std::uint64_t steps() const { return depth; }
 
     bool dead(std::size_t i) const {
         return static_cast<int>(i) == cfg->killed_thread &&
-               ts[i].phase == cfg->kill_phase;
+               per_thread[i].phase == cfg->kill_phase;
     }
 
     // A thread has an enabled transition unless it entered, died, or is a
     // budget-exhausted waiter in the cohort-lock ablation whose tag is
     // still foreign (the blocked state the ablation exists to exhibit).
     bool enabled(std::size_t i) const {
-        const HierThread& t = ts[i];
+        const HierThread& t = per_thread[i];
         if (t.phase == HierPhase::kEntered || dead(i)) return false;
         return !(t.phase == HierPhase::kWait && !cfg->proceed_on_timeout &&
                  t.budget == 0 && tag != cfg->thread_cluster[i]);
     }
 
     void step(std::size_t i) {
-        HierThread& t = ts[i];
+        HierThread& t = per_thread[i];
         const int mine = cfg->thread_cluster[i];
         ++depth;
         switch (t.phase) {
@@ -152,7 +153,7 @@ struct HierTally {
     HierarchyModelResult& res;
 
     bool stopped() const { return false; }
-    void pruned(const HierWorld&) {}  // no depth cap: never called
+    void pruned() {}  // no depth cap: never called
     void reached(const HierWorld& w) {
         ++res.states;
         if (w.depth > res.max_depth) res.max_depth = w.depth;
@@ -162,10 +163,10 @@ struct HierTally {
         res.handoffs += w.handoffs;
         bool blocked = false;
         bool cas_lost = false;
-        for (std::size_t i = 0; i < w.ts.size(); ++i) {
+        for (std::size_t i = 0; i < w.per_thread.size(); ++i) {
             if (w.dead(i)) continue;
-            if (w.ts[i].phase != HierPhase::kEntered) blocked = true;
-            else if (w.ts[i].cas_lost) cas_lost = true;
+            if (w.per_thread[i].phase != HierPhase::kEntered) blocked = true;
+            else if (w.per_thread[i].cas_lost) cas_lost = true;
         }
         if (blocked) {
             ++res.blocked_leaves;

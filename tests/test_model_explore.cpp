@@ -1128,7 +1128,7 @@ struct WakeTally {
 
     bool stopped() const { return false; }
     void reached(const WakeModel&) {}
-    void pruned(const WakeModel&) {}
+    void pruned() {}
     void leaf(const WakeModel& m) {
         ++schedules;
         if (m.item && m.asleep) ++lost;  // published, asleep, no wake left
