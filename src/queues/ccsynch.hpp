@@ -55,11 +55,10 @@ class Combiner {
         : object_(object),
           apply_(apply),
           bound_(bound == 0 ? 1 : bound),
-          n_lists_(static_cast<std::size_t>(clusters < 1 ? 1 : clusters)),
-          lists_(check_alloc(new (std::nothrow) ClusterList[n_lists_])) {
+          n_lists_(static_cast<std::size_t>(clusters < 1 ? 1 : clusters)) {
+        if (n_lists_ > 1) lists_.reset(check_alloc(new (std::nothrow) ClusterList[n_lists_]));
         for (std::size_t i = 0; i < n_lists_; ++i) {
-            lists_[i]->store(check_alloc(new (std::nothrow) Node),
-                             std::memory_order_relaxed);
+            list(i)->store(check_alloc(new (std::nothrow) Node), std::memory_order_relaxed);
         }
         for (auto& s : spare_) s = nullptr;
         std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -67,7 +66,7 @@ class Combiner {
 
     ~Combiner() {
         for (std::size_t i = 0; i < n_lists_; ++i) {
-            delete lists_[i]->load(std::memory_order_relaxed);
+            delete list(i)->load(std::memory_order_relaxed);
         }
         for (auto* s : spare_) delete s;
     }
@@ -78,16 +77,17 @@ class Combiner {
     // Execute `req` under the construction; returns the operation result.
     value_t apply(CombineRequest req) {
         const bool hierarchical = n_lists_ > 1;
-        const std::size_t list =
-            hierarchical ? static_cast<std::size_t>(topo::current_cluster()) % n_lists_
-                         : 0;
+        std::atomic<Node*>& tail =
+            hierarchical
+                ? *lists_[static_cast<std::size_t>(topo::current_cluster()) % n_lists_]
+                : *tail_;
 
         Node* next = my_spare();
         next->next.store(nullptr, std::memory_order_relaxed);
         next->wait.store(true, std::memory_order_relaxed);
         next->completed.store(false, std::memory_order_relaxed);
 
-        Node* cur = counted_swap(*lists_[list], next);
+        Node* cur = counted_swap(tail, next);
         cur->req = req;
         cur->next.store(next, std::memory_order_release);
         spare_[thread_index()] = cur;
@@ -134,6 +134,8 @@ class Combiner {
     // One list's tail; its first node is a dummy.
     using ClusterList = CacheAligned<std::atomic<Node*>, kDestructivePairSize>;
 
+    ClusterList& list(std::size_t i) noexcept { return n_lists_ == 1 ? tail_ : lists_[i]; }
+
     Node* my_spare() {
         auto& slot = spare_[thread_index()];
         if (slot == nullptr) slot = check_alloc(new (std::nothrow) Node);
@@ -144,6 +146,9 @@ class Combiner {
     ApplyFn apply_;
     const unsigned bound_;
     const std::size_t n_lists_;
+    // One list: its tail sits inline, as in CC-Synch.  Several: one heap
+    // array of cluster tails, and `tail_` is unused.
+    ClusterList tail_{nullptr};
     std::unique_ptr<ClusterList[]> lists_;
     CacheAligned<SpinLock, kDestructivePairSize> global_lock_;
     Node* spare_[kMaxThreads];

@@ -16,7 +16,7 @@
 //   kClaim --CAS win/lose-> kEntered           ("even if the CAS fails")
 //
 // searched over every interleaving of every live thread's next step by
-// explore.hpp's core.
+// search.hpp's core.
 //
 // The model mirrors two deliberate details of the implementation: the
 // claiming CAS compares against the *last observed* tag (so it can lose
@@ -35,7 +35,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "verify/explore.hpp"
+#include "verify/search.hpp"
 
 namespace lcrq::verify {
 

@@ -1075,7 +1075,7 @@ TEST(HierarchyModel, AblationBlocksAgainstDeadOwnerAndTimeoutProceedFixesIt) {
 // (thread 0: snapshot the epoch, announce, re-check for the item, sleep if
 // the epoch is unchanged) and one signaler (thread 1: publish the item,
 // check for waiters, bump the epoch if any, wake a sleeper), searched by
-// explore.hpp's core with the model as its world.  Each step is atomic
+// search.hpp's core with the model as its world.  Each step is atomic
 // and steps are sequentially consistent, which the facade buys with its
 // two seq_cst fences.  This SC model does not cover x86-TSO store->load reordering — a
 // fence deleted from the code would not show here; that needs the store
